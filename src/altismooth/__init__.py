@@ -35,14 +35,12 @@ from .errors import (
     NotPositiveDefiniteError,
     ShapeMismatchError,
 )
-from .gmrf import EnergyState, NoiseState, VarianceChain
+from .gmrf import VarianceChain
 from .kernels import (
     CorrelationMatrix,
     CovarianceBasis,
     build_correlation,
     decompose,
-    posterior_mean_fast,
-    prior_quadratic_form,
 )
 from .metrics import ParamSeries, rmse, rsnr, std, std_20hz
 from .retrack import FitResult, fit_block, ls_fit, svd_filter, svd_filter_stream
@@ -65,10 +63,8 @@ __all__ = [
     "CovarianceBasis",
     "DegenerateInputError",
     "DivergedError",
-    "EnergyState",
     "FitResult",
     "NoiseSpec",
-    "NoiseState",
     "NonFiniteError",
     "NotPositiveDefiniteError",
     "ParamSeries",
@@ -94,8 +90,6 @@ __all__ = [
     "ls_fit",
     "make_trajectory",
     "meters_to_gates",
-    "posterior_mean_fast",
-    "prior_quadratic_form",
     "rmse",
     "rsnr",
     "sigma_c_sq",

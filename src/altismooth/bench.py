@@ -53,7 +53,6 @@ def run_table1(
     seed: int = 0,
     consts: BrownConstants | None = None,
     config: SolverConfig | None = None,
-    threads: int = 1,
 ) -> dict:
     consts = consts or jason2_like()
     config = config or SolverConfig()
@@ -73,7 +72,7 @@ def run_table1(
     rows = []
     for m in m_list:
         start = time.perf_counter()
-        denoised = denoise_stream(noisy, int(m), config, threads=threads)
+        denoised = denoise_stream(noisy, int(m), config)
         elapsed = time.perf_counter() - start
         rows.append(
             {
@@ -110,7 +109,6 @@ def run_table2(
     config: SolverConfig | None = None,
     svd_threshold: float = DEFAULT_SVD_THRESHOLD,
     chunk: int = DEFAULT_CHUNK,
-    threads: int = 1,
 ) -> dict:
     consts = consts or jason2_like()
     config = config or SolverConfig()
@@ -118,7 +116,7 @@ def run_table2(
     for i, swh in enumerate(swh_list):
         _, clean, noisy = _sweep_block(swh, runs, looks, seed, i, consts)
         filtered = svd_filter_stream(noisy, chunk, svd_threshold)
-        denoised = denoise_stream(noisy, chunk, config, threads=threads)
+        denoised = denoise_stream(noisy, chunk, config)
         rows.append(
             {
                 "swh": float(swh),
@@ -143,7 +141,6 @@ def run_fig4(
     config: SolverConfig | None = None,
     svd_threshold: float = DEFAULT_SVD_THRESHOLD,
     chunk: int = DEFAULT_CHUNK,
-    threads: int = 1,
 ) -> dict:
     consts = consts or jason2_like()
     config = config or SolverConfig()
@@ -154,7 +151,7 @@ def run_fig4(
         versions = {
             "ls": noisy,
             "svd": svd_filter_stream(noisy, chunk, svd_threshold),
-            "sse": denoise_stream(noisy, chunk, config, threads=threads),
+            "sse": denoise_stream(noisy, chunk, config),
         }
         row = {"swh": float(swh)}
         for label, block in versions.items():

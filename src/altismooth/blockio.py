@@ -51,9 +51,15 @@ def read_block(path) -> np.ndarray:
         magic, num_gates, num_signals = _HEADER.unpack(raw)
         if magic != MAGIC:
             raise ValueError(f"{path}: not a block file (bad magic {magic!r})")
+        if num_gates < 1 or num_signals < 1:
+            raise ValueError(f"{path}: empty block header ({num_gates} x {num_signals})")
+        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+        expected = 8 * num_gates * num_signals
+        if payload != expected:
+            kind = "truncated payload" if payload < expected else "trailing bytes"
+            raise ValueError(f"{path}: {kind}: {payload} bytes after the header, "
+                             f"{expected} expected for {num_gates} x {num_signals}")
         data = np.fromfile(fh, dtype="<f8", count=num_gates * num_signals)
-    if data.size != num_gates * num_signals:
-        raise ValueError(f"{path}: truncated payload")
     return data.reshape(num_gates, num_signals)
 
 

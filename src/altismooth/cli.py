@@ -48,8 +48,8 @@ def _parse_ints(text: str) -> list[int]:
 def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for chunked processing")
+    # Parsed and ignored, kept only so that argvs recorded in manifests still replay.
+    common.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
     common.add_argument("--config", type=Path, default=None,
                         help="constants profile file (default: packaged jason2-like)")
     common.add_argument("--scale", type=float, default=1.0,
@@ -222,9 +222,7 @@ def cmd_denoise(args, argv) -> int:
     started = time.time()
     block = blockio.read_block(args.input)
     config = _solver_config(args)
-    denoised, states = denoise_stream(
-        block, args.chunk, config, threads=args.threads, with_states=True
-    )
+    denoised, states = denoise_stream(block, args.chunk, config, with_states=True)
     blockio.write_block(args.output, denoised)
     outputs = {"denoised": str(args.output)}
     if args.emit_cost_trace is not None:
@@ -253,8 +251,7 @@ def cmd_estimate(args, argv) -> int:
     if args.method == "svd-ls":
         block = svd_filter_stream(block, args.chunk, args.svd_threshold)
     elif args.method == "sse-ls":
-        block = denoise_stream(block, args.chunk, _solver_config(args),
-                               threads=args.threads)
+        block = denoise_stream(block, args.chunk, _solver_config(args))
     fits = fit_block(block, consts)
     rows = [
         {
@@ -339,8 +336,7 @@ def cmd_bench(args, argv) -> int:
                   file=sys.stderr)
         if not m_list:
             raise BadRangeError(f"no chunk length in {args.m_list} fits n={n}")
-        result = bench.run_table1(n, m_list, args.looks, args.seed, consts,
-                                  config, args.threads)
+        result = bench.run_table1(n, m_list, args.looks, args.seed, consts, config)
         fields = ["filter_length", "rsnr_db", "ms_per_signal"]
         print(f"input RSNR: {result['input_rsnr_db']:.2f} dB")
     else:
@@ -348,12 +344,12 @@ def cmd_bench(args, argv) -> int:
         if args.suite == "table2":
             result = bench.run_table2(args.swh_list, runs, args.looks, args.seed,
                                       consts, config, args.svd_threshold,
-                                      args.chunk, args.threads)
+                                      args.chunk)
             fields = ["swh", "rsnr_svd", "rsnr_sse"]
         else:
             result = bench.run_fig4(args.swh_list, runs, args.looks, args.seed,
                                     consts, config, args.svd_threshold,
-                                    args.chunk, args.threads)
+                                    args.chunk)
             fields = bench.FIG4_FIELDS
 
     report = args.out / f"{args.suite}.csv"

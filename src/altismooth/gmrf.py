@@ -50,14 +50,6 @@ class VarianceChain:
         return self.variances.shape[0]
 
 
-class NoiseState(VarianceChain):
-    """Per-gate noise variances; stat is the residual power of the gate."""
-
-
-class EnergyState(VarianceChain):
-    """Per-gate signal-energy variances; stat is the gate's prior quadratic form."""
-
-
 def _neighbor_aux(aux: np.ndarray) -> np.ndarray:
     # Gate i couples aux[i] and aux[i+1]; the last gate only aux[K-1].
     out = aux.copy()
@@ -71,45 +63,20 @@ def _denominators(coupling: float, num_gates: int, num_signals: int) -> np.ndarr
     return den
 
 
-def variance_mode(
-    chain: VarianceChain, index: int, stat: float, num_signals: int,
-    floor: float = VARIANCE_FLOOR,
-) -> float:
-    """Conditional-mode update for variances[index] given its data statistic."""
-    if stat < 0:
-        raise ValueError("data statistic must be non-negative")
-    c = chain.coupling
-    last = chain.num_gates - 1
-    if index == last:
-        beta = stat + 2.0 * c * chain.aux[last]
-        den = 2.0 * c + num_signals + 2.0
-    else:
-        beta = stat + 2.0 * c * (chain.aux[index] + chain.aux[index + 1])
-        den = 4.0 * c + num_signals + 2.0
-    return max(beta / den, floor)
-
-
-def aux_mode(chain: VarianceChain, index: int) -> float:
-    """Conditional-mode update for aux[index]."""
-    c = chain.coupling
-    if index == 0:
-        return (2.0 * c - 1.0) * chain.variances[0] / c
-    inv = 1.0 / chain.variances[index - 1] + 1.0 / chain.variances[index]
-    return (2.0 * c - 1.0) / (c * inv)
-
-
 def variance_sweep(
-    chain: VarianceChain, stats: np.ndarray, num_signals: int,
-    floor: float = VARIANCE_FLOOR,
+    chain: VarianceChain, stats: np.ndarray, num_signals: int
 ) -> np.ndarray:
-    """Vectorised variance_mode over all gates."""
+    """Conditional modes of all variances given their data statistics.
+
+    Floored at VARIANCE_FLOOR so the chain stays strictly positive.
+    """
     beta = stats + 2.0 * chain.coupling * _neighbor_aux(chain.aux)
     den = _denominators(chain.coupling, chain.num_gates, num_signals)
-    return np.maximum(beta / den, floor)
+    return np.maximum(beta / den, VARIANCE_FLOOR)
 
 
 def aux_sweep(chain: VarianceChain) -> np.ndarray:
-    """Vectorised aux_mode over all auxiliaries."""
+    """Conditional modes of all auxiliaries given the variances."""
     c = chain.coupling
     v = chain.variances
     out = np.empty_like(chain.aux)
@@ -144,10 +111,9 @@ def chain_cost_terms(
 
 
 def initial_chain(
-    cls, variances: np.ndarray, coupling: float, aux_init: float = 1e-12,
-    floor: float = VARIANCE_FLOOR,
+    variances: np.ndarray, coupling: float, aux_init: float = 1e-12
 ) -> VarianceChain:
     """Build a chain with floored variances and constant auxiliary init."""
-    v = np.maximum(np.asarray(variances, dtype=float), floor)
+    v = np.maximum(np.asarray(variances, dtype=float), VARIANCE_FLOOR)
     aux = np.full_like(v, aux_init)
-    return cls(variances=v, aux=aux, coupling=coupling)
+    return VarianceChain(variances=v, aux=aux, coupling=coupling)

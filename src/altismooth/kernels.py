@@ -15,7 +15,6 @@ kernel's eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -63,8 +62,9 @@ def build_correlation(
 ) -> CorrelationMatrix:
     """Build the SE correlation matrix over sample indices 0..M-1.
 
-    Raises NotPositiveDefiniteError when the jittered matrix still fails a
-    Cholesky factorisation (jitter too small for this M/lengthscale).
+    Positive definiteness is not checked here: ``decompose`` raises
+    NotPositiveDefiniteError when the jittered matrix has a non-positive
+    eigenvalue (jitter too small for this M/lengthscale).
     """
     if num_signals < 1:
         raise ValueError("num_signals must be >= 1")
@@ -74,13 +74,6 @@ def build_correlation(
     lag = idx[:, None] - idx[None, :]
     values = np.exp(-((lag / lengthscale) ** 2))
     values[np.diag_indices(num_signals)] += jitter
-    try:
-        np.linalg.cholesky(values)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            f"correlation matrix (M={num_signals}, lengthscale={lengthscale}, "
-            f"jitter={jitter}) is not positive definite"
-        ) from exc
     return CorrelationMatrix(values=values, lengthscale=lengthscale, jitter=jitter)
 
 
@@ -103,61 +96,26 @@ def decompose(corr: CorrelationMatrix) -> CovarianceBasis:
     return CovarianceBasis(vectors=vectors, precision_eigvals=1.0 / eigvals)
 
 
-def posterior_mean_fast(
-    row: np.ndarray,
-    noise_var: float,
-    energy_var: float,
-    basis: CovarianceBasis,
-    coeffs: np.ndarray | None = None,
+def shrinkage_filter(
+    noise_var: np.ndarray, energy_var: np.ndarray, basis: CovarianceBasis
 ) -> np.ndarray:
-    """Posterior mean of one gate's M-sample evolution by diagonal shrinkage.
+    """Per-gate diagonal posterior filter in the eigenbasis (K x M).
 
-    Equals the dense solve of (C^-1/energy_var + I/noise_var) s = row/noise_var.
-    ``coeffs`` is the cached projection basis.vectors.T @ row; pass it when the
-    caller holds it from a previous step.
+    For gate k with row y_k and basis coefficients c_k = y_k @ basis.vectors,
+    the posterior mean, i.e. the solution of
+    (C^-1/energy_var[k] + I/noise_var[k]) s = y_k/noise_var[k], has basis
+    coefficients filt[k] * c_k, where
+    filt[k] = energy_var[k] / (precision_eigvals * noise_var[k] + energy_var[k]).
     """
-    if coeffs is None:
-        coeffs = basis.vectors.T @ row
-    filt = energy_var / (basis.precision_eigvals * noise_var + energy_var)
-    return basis.vectors @ (filt * coeffs)
+    return energy_var[:, None] / (
+        basis.precision_eigvals[None, :] * noise_var[:, None] + energy_var[:, None]
+    )
 
 
-def prior_quadratic_form(row: np.ndarray, basis: CovarianceBasis) -> float:
-    """Energy of a row under the inverse correlation: row^T C^-1 row."""
-    coeffs = basis.vectors.T @ row
-    value = float(np.dot(basis.precision_eigvals * coeffs, coeffs))
-    return max(value, 0.0)
+def prior_energy(coeffs: np.ndarray, basis: CovarianceBasis) -> np.ndarray:
+    """Per-row energy under the inverse correlation, s^T C^-1 s.
 
-
-def _cache_name(num_signals: int, lengthscale: float, jitter: float) -> str:
-    return f"basis_M{num_signals}_l{lengthscale:g}_j{jitter:g}.npz"
-
-
-def save_basis(basis: CovarianceBasis, path) -> None:
-    np.savez(path, vectors=basis.vectors, precision_eigvals=basis.precision_eigvals)
-
-
-def load_basis(path) -> CovarianceBasis:
-    with np.load(path) as data:
-        return CovarianceBasis(
-            vectors=data["vectors"], precision_eigvals=data["precision_eigvals"]
-        )
-
-
-def cached_basis(
-    num_signals: int,
-    lengthscale: float = DEFAULT_LENGTHSCALE,
-    jitter: float = DEFAULT_JITTER,
-    cache_dir=None,
-) -> CovarianceBasis:
-    """Basis for (M, lengthscale, jitter), reusing an on-disk copy if present."""
-    if cache_dir is None:
-        return decompose(build_correlation(num_signals, lengthscale, jitter))
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / _cache_name(num_signals, lengthscale, jitter)
-    if path.exists():
-        return load_basis(path)
-    basis = decompose(build_correlation(num_signals, lengthscale, jitter))
-    save_basis(basis, path)
-    return basis
+    ``coeffs`` holds one row's basis coefficients (s @ basis.vectors) per
+    row; the result is clipped at 0 against round-off.
+    """
+    return np.maximum((coeffs**2 * basis.precision_eigvals).sum(axis=1), 0.0)

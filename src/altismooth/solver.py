@@ -6,8 +6,15 @@ zero-mean Gaussian process over the signal index with an SE correlation and
 per-gate energy variance, and both variance sequences are smoothed along k
 by coupled auxiliary chains (see ``gmrf``).  The joint negative log
 posterior is minimised one coordinate block at a time; every update has a
-closed form, so each sweep is one filtered projection per gate plus a few
-vector operations.
+closed form.
+
+The sweep runs entirely on basis coefficients.  The correlation's eigenbasis
+V is a full orthonormal M x M matrix, so with coefficients C = Y V computed
+once, the rows' conditional modes have coefficients F * C (F the per-gate
+diagonal shrinkage), each gate's residual power is sum(((1 - F) * C)**2) and
+its prior energy sum(r * (F * C)**2) over the precision eigenvalues r.  No
+sweep back-projects: the denoised block (F * C) V^T is formed once, after
+the loop.
 
 Sweep order per iteration: rows s_k (all gates), noise variances, noise
 auxiliaries, energy variances, energy auxiliaries.  The cost is evaluated
@@ -17,20 +24,20 @@ once per full sweep and the loop stops when its relative change falls below
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gmrf
 from .errors import NonFiniteError, ShapeMismatchError
-from .gmrf import EnergyState, NoiseState, VARIANCE_FLOOR
+from .gmrf import VarianceChain
 from .kernels import (
-    DEFAULT_JITTER,
     DEFAULT_LENGTHSCALE,
     CovarianceBasis,
     build_correlation,
     decompose,
+    prior_energy,
+    shrinkage_filter,
 )
 
 ENERGY_VAR_INIT = 10.0
@@ -45,7 +52,6 @@ class SolverConfig:
     xi           relative cost-change stopping threshold
     t_max        sweep cap
     lengthscale  SE correlation length over the signal index
-    jitter       diagonal jitter added to the correlation matrix
     """
 
     zeta: float = 2.0
@@ -53,8 +59,6 @@ class SolverConfig:
     xi: float = 1e-3
     t_max: int = 100
     lengthscale: float = DEFAULT_LENGTHSCALE
-    jitter: float = DEFAULT_JITTER
-    variance_floor: float = VARIANCE_FLOOR
 
     def __post_init__(self):
         if not (self.zeta > 1 and self.eta > 1):
@@ -68,8 +72,8 @@ class SolverState:
     """Result of one denoise call."""
 
     denoised: np.ndarray
-    noise: NoiseState
-    energy: EnergyState
+    noise: VarianceChain
+    energy: VarianceChain
     cost_trace: list[float] = field(default_factory=list)
     iterations: int = 0
     stop_reason: str = "max-iterations"
@@ -78,8 +82,8 @@ class SolverState:
 def cost_from_stats(
     resid: np.ndarray,
     quads: np.ndarray,
-    noise: NoiseState,
-    energy: EnergyState,
+    noise: VarianceChain,
+    energy: VarianceChain,
     num_signals: int,
 ) -> float:
     """Negative log posterior (constants dropped) from per-gate statistics."""
@@ -102,48 +106,34 @@ def cost(state: SolverState, block: np.ndarray, basis: CovarianceBasis) -> float
             f"block shape {block.shape} != state shape {state.denoised.shape}"
         )
     resid = ((block - state.denoised) ** 2).sum(axis=1)
-    spectral = state.denoised @ basis.vectors
-    quads = (spectral**2 * basis.precision_eigvals).sum(axis=1)
+    quads = prior_energy(state.denoised @ basis.vectors, basis)
     return cost_from_stats(resid, quads, state.noise, state.energy, block.shape[1])
 
 
 def _initial_state(block: np.ndarray, config: SolverConfig) -> tuple:
-    mean_wave = block.mean(axis=1)
-    denoised = np.repeat(mean_wave[:, None], block.shape[1], axis=1)
-    noise = gmrf.initial_chain(
-        NoiseState, mean_wave, config.zeta, AUX_INIT, config.variance_floor
-    )
+    noise = gmrf.initial_chain(block.mean(axis=1), config.zeta, AUX_INIT)
     energy = gmrf.initial_chain(
-        EnergyState,
-        np.full(block.shape[0], ENERGY_VAR_INIT),
-        config.eta,
-        AUX_INIT,
-        config.variance_floor,
+        np.full(block.shape[0], ENERGY_VAR_INIT), config.eta, AUX_INIT
     )
-    return denoised, noise, energy
+    return noise, energy
 
 
-def _sweep(block, coeff_cache, basis, noise, energy, config):
-    """One full coordinate sweep; mutates the chains, returns (S, cost)."""
-    num_signals = block.shape[1]
-    filt = energy.variances[:, None] / (
-        basis.precision_eigvals[None, :] * noise.variances[:, None]
-        + energy.variances[:, None]
-    )
-    spectral = filt * coeff_cache
-    denoised = spectral @ basis.vectors.T
-    resid = ((block - denoised) ** 2).sum(axis=1)
-    quads = np.maximum((spectral**2 * basis.precision_eigvals).sum(axis=1), 0.0)
+def _sweep(coeffs, basis, noise, energy):
+    """One full coordinate sweep on basis coefficients.
 
-    noise.variances = gmrf.variance_sweep(
-        noise, resid, num_signals, config.variance_floor
-    )
+    Mutates the chains; returns the rows' coefficients and the cost.
+    """
+    num_signals = coeffs.shape[1]
+    filt = shrinkage_filter(noise.variances, energy.variances, basis)
+    spectral = filt * coeffs
+    resid = (((1.0 - filt) * coeffs) ** 2).sum(axis=1)
+    quads = prior_energy(spectral, basis)
+
+    noise.variances = gmrf.variance_sweep(noise, resid, num_signals)
     noise.aux = gmrf.aux_sweep(noise)
-    energy.variances = gmrf.variance_sweep(
-        energy, quads, num_signals, config.variance_floor
-    )
+    energy.variances = gmrf.variance_sweep(energy, quads, num_signals)
     energy.aux = gmrf.aux_sweep(energy)
-    return denoised, cost_from_stats(resid, quads, noise, energy, num_signals)
+    return spectral, cost_from_stats(resid, quads, noise, energy, num_signals)
 
 
 def denoise(
@@ -164,28 +154,26 @@ def denoise(
         raise NonFiniteError("input block contains non-finite values")
     num_signals = block.shape[1]
     if basis is None:
-        basis = decompose(
-            build_correlation(num_signals, config.lengthscale, config.jitter)
-        )
+        basis = decompose(build_correlation(num_signals, config.lengthscale))
     elif basis.size != num_signals:
         raise ShapeMismatchError(
             f"basis size {basis.size} does not match block width {num_signals}"
         )
 
-    denoised, noise, energy = _initial_state(block, config)
-    coeff_cache = block @ basis.vectors  # row k holds the basis coefficients of y_k
+    noise, energy = _initial_state(block, config)
+    coeffs = block @ basis.vectors  # row k holds the basis coefficients of y_k
 
     trace: list[float] = []
     stop_reason = "max-iterations"
     for _ in range(config.t_max):
-        denoised, value = _sweep(block, coeff_cache, basis, noise, energy, config)
+        spectral, value = _sweep(coeffs, basis, noise, energy)
         trace.append(value)
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= config.xi * abs(trace[-2]):
             stop_reason = "converged"
             break
 
     return SolverState(
-        denoised=denoised,
+        denoised=spectral @ basis.vectors.T,
         noise=noise,
         energy=energy,
         cost_trace=trace,
@@ -205,14 +193,12 @@ def denoise_stream(
     block: np.ndarray,
     chunk_len: int,
     config: SolverConfig | None = None,
-    threads: int = 1,
     with_states: bool = False,
 ):
     """Denoise a K x N block in independent consecutive chunks of width M.
 
-    Chunks share the precomputed eigenbasis for their width; a shorter final
-    chunk gets its own.  With ``threads`` > 1 the chunks run on a thread
-    pool; results are bit-identical to the serial order either way.
+    Chunks run serially (BLAS owns the threading) and share the precomputed
+    eigenbasis for their width; a shorter final chunk gets its own.
     """
     config = config or SolverConfig()
     block = np.asarray(block, dtype=float)
@@ -224,18 +210,8 @@ def denoise_stream(
     for sl in slices:
         width = sl.stop - sl.start
         if width not in bases:
-            bases[width] = decompose(
-                build_correlation(width, config.lengthscale, config.jitter)
-            )
-
-    def run(sl: slice) -> SolverState:
-        return denoise(block[:, sl], config, bases[sl.stop - sl.start])
-
-    if threads > 1 and len(slices) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            states = list(pool.map(run, slices))
-    else:
-        states = [run(sl) for sl in slices]
+            bases[width] = decompose(build_correlation(width, config.lengthscale))
+    states = [denoise(block[:, sl], config, bases[sl.stop - sl.start]) for sl in slices]
 
     out = np.empty_like(block)
     for sl, state in zip(slices, states):

@@ -54,6 +54,33 @@ def naive_chain_cost(variances, aux, coupling, stats, num_signals) -> float:
     return float(total)
 
 
+def naive_variance_modes(variances, aux, coupling, stats, num_signals,
+                         floor=1e-20) -> np.ndarray:
+    """Closed-form conditional mode of every variance, one gate at a time."""
+    K = len(variances)
+    out = np.empty(K)
+    for i in range(K):
+        if i < K - 1:
+            beta = stats[i] + 2.0 * coupling * (aux[i] + aux[i + 1])
+            den = 4.0 * coupling + num_signals + 2.0
+        else:
+            beta = stats[i] + 2.0 * coupling * aux[i]
+            den = 2.0 * coupling + num_signals + 2.0
+        out[i] = max(beta / den, floor)
+    return out
+
+
+def naive_aux_modes(variances, coupling) -> np.ndarray:
+    """Closed-form conditional mode of every auxiliary, one node at a time."""
+    K = len(variances)
+    out = np.empty(K)
+    out[0] = (2.0 * coupling - 1.0) * variances[0] / coupling
+    for j in range(1, K):
+        inv = 1.0 / variances[j - 1] + 1.0 / variances[j]
+        out[j] = (2.0 * coupling - 1.0) / (coupling * inv)
+    return out
+
+
 def naive_cost(noise_v, noise_a, zeta, resid, energy_v, energy_a, eta, quads,
                num_signals) -> float:
     return naive_chain_cost(noise_v, noise_a, zeta, resid, num_signals) + \

@@ -12,8 +12,8 @@ import pytest
 
 import altismooth as alt
 from altismooth import bench
-from altismooth.gmrf import NoiseState, aux_mode, variance_mode
-from altismooth.kernels import build_correlation, decompose, posterior_mean_fast
+from altismooth.gmrf import VarianceChain, aux_sweep, variance_sweep
+from altismooth.kernels import build_correlation, decompose, shrinkage_filter
 from altismooth.metrics import rmse, rsnr, std, std_20hz
 from altismooth.retrack import fit_block
 from altismooth.solver import SolverConfig, denoise, denoise_stream
@@ -186,9 +186,11 @@ def test_criterion_5_mode_updates_match_minimiser():
         K = int(rng.integers(2, 10))
         M = int(rng.integers(1, 501))
         coupling = float(rng.uniform(1.2, 6.0))
-        chain = NoiseState(rng.uniform(0.05, 20.0, K),
-                           rng.uniform(0.05, 20.0, K), coupling)
+        chain = VarianceChain(rng.uniform(0.05, 20.0, K),
+                              rng.uniform(0.05, 20.0, K), coupling)
         stats = rng.uniform(0.01, 80.0, K)
+        var_modes = variance_sweep(chain, stats, M)
+        aux_modes = aux_sweep(chain)
         for k in (0, int(rng.integers(0, K)), K - 1):
             def var_restricted(x, k=k):
                 v = chain.variances.copy()
@@ -196,7 +198,7 @@ def test_criterion_5_mode_updates_match_minimiser():
                 return oracles.naive_chain_cost(v, chain.aux, coupling, stats, M)
 
             numeric = oracles.argmin_positive(var_restricted)
-            closed = variance_mode(chain, k, stats[k], M)
+            closed = var_modes[k]
             worst = max(worst, abs(closed - numeric) / numeric)
 
             def aux_restricted(x, k=k):
@@ -206,7 +208,7 @@ def test_criterion_5_mode_updates_match_minimiser():
                                                 stats, M)
 
             numeric = oracles.argmin_positive(aux_restricted)
-            closed = aux_mode(chain, k)
+            closed = aux_modes[k]
             worst = max(worst, abs(closed - numeric) / numeric)
         states += 1
     c.check(worst <= 1e-6,
@@ -221,15 +223,21 @@ def test_criterion_6_fast_path_equals_dense_solve():
     for size in (10, 50, 200):
         corr = build_correlation(size)
         basis = decompose(corr)
+        # 100 rows shrunk as one stack and back-projected once, as the solver does
+        rows = np.empty((100, size))
+        noise_var = np.empty(100)
+        energy_var = np.empty(100)
+        for i in range(100):
+            rows[i] = rng.normal(0.0, 3.0, size)
+            noise_var[i] = rng.uniform(0.01, 10.0)
+            energy_var[i] = rng.uniform(0.01, 10.0)
+        filt = shrinkage_filter(noise_var, energy_var, basis)
+        fast = (filt * (rows @ basis.vectors)) @ basis.vectors.T
         worst = 0.0
-        for _ in range(100):
-            row = rng.normal(0.0, 3.0, size)
-            noise_var = float(rng.uniform(0.01, 10.0))
-            energy_var = float(rng.uniform(0.01, 10.0))
-            fast = posterior_mean_fast(row, noise_var, energy_var, basis)
-            dense = oracles.dense_posterior_mean(row, noise_var, energy_var,
-                                                 corr.values)
-            worst = max(worst, np.linalg.norm(fast - dense)
+        for i in range(100):
+            dense = oracles.dense_posterior_mean(rows[i], noise_var[i],
+                                                 energy_var[i], corr.values)
+            worst = max(worst, np.linalg.norm(fast[i] - dense)
                         / max(np.linalg.norm(dense), 1e-300))
         c.check(worst <= 1e-8,
                 f"M={size}: worst relative gap {worst:.2e} <= 1e-8 over 100 tuples")

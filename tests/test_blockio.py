@@ -37,6 +37,27 @@ class TestBlockFormat:
         with pytest.raises(ValueError, match="truncated"):
             blockio.read_block(path)
 
+    @pytest.mark.parametrize("num_gates, num_signals", [(0, 4), (4, 0)])
+    def test_empty_header_rejected(self, tmp_path, num_gates, num_signals):
+        path = tmp_path / "empty.blk"
+        path.write_bytes(blockio._HEADER.pack(blockio.MAGIC, num_gates, num_signals))
+        with pytest.raises(ValueError, match="empty"):
+            blockio.read_block(path)
+
+    def test_huge_header_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.blk"
+        path.write_bytes(blockio._HEADER.pack(blockio.MAGIC, 2**32 - 1, 2**32 - 1)
+                         + b"\x00" * 64)
+        with pytest.raises(ValueError, match="truncated"):
+            blockio.read_block(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.blk"
+        blockio.write_block(path, np.ones((4, 4)))
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(ValueError, match="trailing"):
+            blockio.read_block(path)
+
     def test_atomic_overwrite(self, tmp_path):
         path = tmp_path / "block.blk"
         blockio.write_block(path, np.ones((2, 2)))

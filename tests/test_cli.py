@@ -136,6 +136,24 @@ class TestDenoiseEstimateMetrics:
         code = run("denoise", "--input", bad, "--output", tmp_path / "out.blk")
         assert code == 2
 
+    @pytest.mark.parametrize("num_gates, num_signals", [(2**32 - 1, 2**32 - 1), (0, 8)],
+                             ids=["huge", "zero-gates"])
+    def test_bad_header_exits_two(self, tmp_path, capsys, num_gates, num_signals):
+        bad = tmp_path / "bad.blk"
+        bad.write_bytes(blockio._HEADER.pack(blockio.MAGIC, num_gates, num_signals))
+        code = run("denoise", "--input", bad, "--output", tmp_path / "out.blk")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_threads_flag_is_ignored(self, generated):
+        plain, threaded = generated / "plain.blk", generated / "threaded.blk"
+        assert run("denoise", "--input", generated / "noisy.blk",
+                   "--output", plain, "--chunk", 24) == 0
+        assert run("denoise", "--input", generated / "noisy.blk",
+                   "--output", threaded, "--chunk", 24, "--threads", 4) == 0
+        assert plain.read_bytes() == threaded.read_bytes()
+
     def test_non_finite_block_exits_three(self, tmp_path):
         poisoned = np.ones((104, 8))
         poisoned[50, 3] = np.nan

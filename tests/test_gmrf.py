@@ -2,14 +2,10 @@ import numpy as np
 import pytest
 
 from altismooth.gmrf import (
-    EnergyState,
-    NoiseState,
     VarianceChain,
-    aux_mode,
     aux_sweep,
     chain_cost_terms,
     initial_chain,
-    variance_mode,
     variance_sweep,
 )
 
@@ -26,50 +22,49 @@ def random_chain(rng, num_gates, coupling):
 
 class TestArithmetic:
     def test_variance_zero_residual_limit(self):
-        chain = NoiseState(np.full(5, 1.0), np.full(5, 1e-12), 2.0)
-        got = variance_mode(chain, 1, 0.0, 500)
+        chain = VarianceChain(np.full(5, 1.0), np.full(5, 1e-12), 2.0)
+        got = variance_sweep(chain, np.zeros(5), 500)[1]
         assert got == pytest.approx(2.0 * 2.0 * 2e-12 / 510.0, rel=1e-12)
 
     def test_variance_interior_arithmetic(self):
-        chain = NoiseState(np.full(5, 1.0), np.full(5, 1e-15), 2.0)
-        got = variance_mode(chain, 1, 502.0, 500)
+        chain = VarianceChain(np.full(5, 1.0), np.full(5, 1e-15), 2.0)
+        got = variance_sweep(chain, np.full(5, 502.0), 500)[1]
         assert got == pytest.approx(502.0 / 510.0, rel=1e-9)
 
     def test_energy_interior_arithmetic(self):
-        chain = EnergyState(np.full(5, 1.0), np.full(5, 1e-15), 2.0)
-        got = variance_mode(chain, 2, 510.0, 500)
+        chain = VarianceChain(np.full(5, 1.0), np.full(5, 1e-15), 2.0)
+        got = variance_sweep(chain, np.full(5, 510.0), 500)[2]
         assert got == pytest.approx(1.0, rel=1e-9)
 
     def test_variance_boundary_uses_single_neighbor(self):
-        chain = NoiseState(np.full(4, 1.0), np.array([0.1, 0.2, 0.3, 0.4]), 2.0)
-        got = variance_mode(chain, 3, 10.0, 100)
+        chain = VarianceChain(np.full(4, 1.0), np.array([0.1, 0.2, 0.3, 0.4]), 2.0)
+        got = variance_sweep(chain, np.full(4, 10.0), 100)[3]
         assert got == pytest.approx((10.0 + 2 * 2.0 * 0.4) / (2 * 2.0 + 100 + 2))
 
     def test_aux_equal_neighbor_symmetry(self):
-        chain = NoiseState(np.full(6, 3.0), np.full(6, 1.0), 2.0)
-        assert aux_mode(chain, 2) == pytest.approx(3.0 * 3.0 / 4.0, rel=1e-14)
+        chain = VarianceChain(np.full(6, 3.0), np.full(6, 1.0), 2.0)
+        assert aux_sweep(chain)[2] == pytest.approx(3.0 * 3.0 / 4.0, rel=1e-14)
 
     def test_aux_unequal_neighbors(self):
-        chain = NoiseState(np.array([1.0, 3.0, 1.0]), np.full(3, 1.0), 2.0)
-        assert aux_mode(chain, 1) == pytest.approx(9.0 / 8.0, rel=1e-14)
+        chain = VarianceChain(np.array([1.0, 3.0, 1.0]), np.full(3, 1.0), 2.0)
+        assert aux_sweep(chain)[1] == pytest.approx(9.0 / 8.0, rel=1e-14)
 
     def test_aux_head_node(self):
-        chain = NoiseState(np.array([5.0, 1.0]), np.full(2, 1.0), 2.0)
-        assert aux_mode(chain, 0) == pytest.approx((2 * 2.0 - 1.0) * 5.0 / 2.0)
+        chain = VarianceChain(np.array([5.0, 1.0]), np.full(2, 1.0), 2.0)
+        assert aux_sweep(chain)[0] == pytest.approx((2 * 2.0 - 1.0) * 5.0 / 2.0)
 
     def test_sweeps_match_scalar_modes(self):
         rng = np.random.default_rng(0)
         for num_gates in (1, 2, 7, 104):
             chain = random_chain(rng, num_gates, 2.5)
             stats = rng.uniform(0.0, 50.0, num_gates)
-            swept = variance_sweep(chain, stats, 37)
-            for k in range(num_gates):
-                assert swept[k] == pytest.approx(
-                    variance_mode(chain, k, stats[k], 37), rel=1e-14
-                )
-            swept_aux = aux_sweep(chain)
-            for k in range(num_gates):
-                assert swept_aux[k] == pytest.approx(aux_mode(chain, k), rel=1e-14)
+            want = oracles.naive_variance_modes(chain.variances, chain.aux,
+                                                chain.coupling, stats, 37)
+            np.testing.assert_allclose(variance_sweep(chain, stats, 37), want,
+                                       rtol=1e-14, atol=0)
+            want_aux = oracles.naive_aux_modes(chain.variances, chain.coupling)
+            np.testing.assert_allclose(aux_sweep(chain), want_aux,
+                                       rtol=1e-14, atol=0)
 
 
 class TestMinimizerOracle:
@@ -91,7 +86,7 @@ class TestMinimizerOracle:
                                                 stats, num_signals)
 
             numeric = oracles.argmin_positive(restricted)
-            closed = variance_mode(chain, k, stats[k], num_signals)
+            closed = variance_sweep(chain, stats, num_signals)[k]
             assert closed == pytest.approx(numeric, rel=1e-6)
 
     @pytest.mark.parametrize("num_signals", [1, 10, 500])
@@ -111,7 +106,7 @@ class TestMinimizerOracle:
                                                 num_signals)
 
             numeric = oracles.argmin_positive(restricted)
-            closed = aux_mode(chain, k)
+            closed = aux_sweep(chain)[k]
             assert closed == pytest.approx(numeric, rel=1e-6)
 
 
@@ -133,7 +128,7 @@ class TestProperties:
         stats = rng.uniform(0.1, 30.0, 104)
 
         def settle(coupling):
-            chain = initial_chain(NoiseState, np.full(104, 1.0), coupling)
+            chain = initial_chain(np.full(104, 1.0), coupling)
             for _ in range(50):
                 chain.variances = variance_sweep(chain, stats, 5)
                 chain.aux = aux_sweep(chain)
@@ -150,9 +145,6 @@ class TestProperties:
             VarianceChain(np.array([1.0, -1.0]), np.ones(2), 2.0)
         with pytest.raises(ValueError):
             VarianceChain(np.ones(3), np.ones(4), 2.0)
-        chain = NoiseState(np.ones(3), np.ones(3), 2.0)
-        with pytest.raises(ValueError):
-            variance_mode(chain, 0, -1.0, 10)
 
     def test_chain_cost_matches_naive(self):
         rng = np.random.default_rng(21)

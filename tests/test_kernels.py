@@ -2,15 +2,20 @@ import numpy as np
 import pytest
 
 from altismooth import NotPositiveDefiniteError, build_correlation, decompose
-from altismooth.kernels import (
-    cached_basis,
-    load_basis,
-    posterior_mean_fast,
-    prior_quadratic_form,
-    save_basis,
-)
+from altismooth.kernels import prior_energy, shrinkage_filter
 
 import oracles
+
+
+def posterior_mean(row, noise_var, energy_var, basis):
+    """The denoiser's route: shrink the row's basis coefficients, back-project."""
+    coeffs = row[None, :] @ basis.vectors
+    filt = shrinkage_filter(np.array([noise_var]), np.array([energy_var]), basis)
+    return ((filt * coeffs) @ basis.vectors.T)[0]
+
+
+def quadratic_form(row, basis):
+    return prior_energy(row[None, :] @ basis.vectors, basis)[0]
 
 
 def random_tuple(rng, size):
@@ -41,7 +46,7 @@ class TestBuildCorrelation:
 
     def test_zero_jitter_fails_at_scale(self):
         with pytest.raises(NotPositiveDefiniteError):
-            build_correlation(400, lengthscale=30.0, jitter=0.0)
+            decompose(build_correlation(400, lengthscale=30.0, jitter=0.0))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -109,24 +114,29 @@ class TestPosteriorMeanFast:
         basis = decompose(build_correlation(50))
         rng = np.random.default_rng(0)
         row = rng.normal(0, 2, 50)
-        out = posterior_mean_fast(row, 1e-30, 1.0, basis)
+        out = posterior_mean(row, 1e-30, 1.0, basis)
         assert np.abs(out - row).max() <= 1e-6 * np.abs(row).max()
 
     def test_zero_energy_limit_returns_zero(self):
         basis = decompose(build_correlation(50))
         rng = np.random.default_rng(1)
         row = rng.normal(0, 2, 50)
-        out = posterior_mean_fast(row, 1.0, 1e-30, basis)
+        out = posterior_mean(row, 1.0, 1e-30, basis)
         assert np.abs(out).max() <= 1e-12 * np.abs(row).max()
 
     def test_cached_coeffs_match(self):
+        # the denoiser projects all rows once and filters that stack every
+        # sweep; each row of the stacked filter equals its single-row filter
         basis = decompose(build_correlation(40))
         rng = np.random.default_rng(2)
-        row = rng.normal(0, 1, 40)
-        coeffs = basis.vectors.T @ row
-        a = posterior_mean_fast(row, 0.5, 2.0, basis)
-        b = posterior_mean_fast(row, 0.5, 2.0, basis, coeffs=coeffs)
-        assert np.array_equal(a, b)
+        rows = rng.normal(0, 1, (6, 40))
+        noise_var = rng.uniform(0.05, 5.0, 6)
+        energy_var = rng.uniform(0.05, 5.0, 6)
+        coeffs = rows @ basis.vectors
+        stacked = shrinkage_filter(noise_var, energy_var, basis) * coeffs
+        for k in range(6):
+            single = shrinkage_filter(noise_var[k:k + 1], energy_var[k:k + 1], basis)
+            assert np.array_equal(stacked[k], single[0] * coeffs[k])
 
     @pytest.mark.parametrize("size", [10, 50, 200])
     def test_matches_dense_solve(self, size):
@@ -135,7 +145,7 @@ class TestPosteriorMeanFast:
         rng = np.random.default_rng(size)
         for _ in range(25):
             row, noise_var, energy_var = random_tuple(rng, size)
-            fast = posterior_mean_fast(row, noise_var, energy_var, basis)
+            fast = posterior_mean(row, noise_var, energy_var, basis)
             dense = oracles.dense_posterior_mean(row, noise_var, energy_var,
                                                  corr.values)
             assert np.linalg.norm(fast - dense) <= 1e-8 * np.linalg.norm(dense)
@@ -145,21 +155,22 @@ class TestPosteriorMeanFast:
         rng = np.random.default_rng(7)
         for _ in range(20):
             row, noise_var, energy_var = random_tuple(rng, 80)
-            filt = energy_var / (basis.precision_eigvals * noise_var + energy_var)
+            filt = shrinkage_filter(np.array([noise_var]), np.array([energy_var]),
+                                    basis)
             assert np.all(filt > 0) and np.all(filt < 1)
-            out = posterior_mean_fast(row, noise_var, energy_var, basis)
+            out = posterior_mean(row, noise_var, energy_var, basis)
             assert np.linalg.norm(out) <= np.linalg.norm(row) * filt.max() * (1 + 1e-12)
 
 
 class TestPriorQuadraticForm:
     def test_zero_vector(self):
         basis = decompose(build_correlation(30))
-        assert prior_quadratic_form(np.zeros(30), basis) == 0.0
+        assert quadratic_form(np.zeros(30), basis) == 0.0
 
     def test_identity_dominant(self):
         # a one-sample chain is its own identity correlation
         basis = decompose(build_correlation(1, jitter=0.0))
-        val = prior_quadratic_form(np.array([3.0]), basis)
+        val = quadratic_form(np.array([3.0]), basis)
         assert val == pytest.approx(9.0, rel=1e-12)
 
     def test_matches_dense_quadratic_smooth_vectors(self):
@@ -174,7 +185,7 @@ class TestPriorQuadraticForm:
             row = corr.values @ z
             analytic = float(z @ corr.values @ z)
             dense = float(row @ np.linalg.solve(corr.values, row))
-            got = prior_quadratic_form(row, basis)
+            got = quadratic_form(row, basis)
             assert got == pytest.approx(analytic, rel=1e-8)
             assert got == pytest.approx(dense, rel=1e-8)
             assert got >= 0.0
@@ -189,24 +200,6 @@ class TestPriorQuadraticForm:
         for _ in range(20):
             row = rng.normal(0, 2, 50)
             want = float(row @ inv @ row)
-            got = prior_quadratic_form(row, basis)
+            got = quadratic_form(row, basis)
             assert got == pytest.approx(want, rel=1e-5)
             assert got >= 0.0
-
-
-class TestBasisCache:
-    def test_save_load_round_trip(self, tmp_path):
-        basis = decompose(build_correlation(25))
-        path = tmp_path / "basis.npz"
-        save_basis(basis, path)
-        loaded = load_basis(path)
-        assert np.array_equal(loaded.vectors, basis.vectors)
-        assert np.array_equal(loaded.precision_eigvals, basis.precision_eigvals)
-
-    def test_cached_basis_reuses_file(self, tmp_path):
-        first = cached_basis(30, cache_dir=tmp_path)
-        files = list(tmp_path.glob("basis_*.npz"))
-        assert len(files) == 1
-        second = cached_basis(30, cache_dir=tmp_path)
-        assert np.array_equal(first.vectors, second.vectors)
-        assert len(list(tmp_path.glob("basis_*.npz"))) == 1

@@ -5,8 +5,8 @@ import pytest
 
 import altismooth as alt
 from altismooth import NonFiniteError, ShapeMismatchError, SolverConfig
-from altismooth.gmrf import EnergyState, NoiseState
-from altismooth.kernels import build_correlation, decompose
+from altismooth.gmrf import VARIANCE_FLOOR, VarianceChain
+from altismooth.kernels import DEFAULT_JITTER, build_correlation, decompose
 from altismooth.solver import (
     SolverState,
     _initial_state,
@@ -40,8 +40,8 @@ class TestCost:
         basis = decompose(build_correlation(1, jitter=0.0))
         state = SolverState(
             denoised=np.array([[3.0]]),
-            noise=NoiseState(np.array([1.0]), np.array([1.0]), 2.0),
-            energy=EnergyState(np.array([1.0]), np.array([1.0]), 2.0),
+            noise=VarianceChain(np.array([1.0]), np.array([1.0]), 2.0),
+            energy=VarianceChain(np.array([1.0]), np.array([1.0]), 2.0),
         )
         got = cost(state, np.array([[3.0]]), basis)
         assert got == pytest.approx(8.5, rel=1e-12)
@@ -51,8 +51,8 @@ class TestCost:
         for K, M in ((1, 1), (5, 3), (104, 20)):
             resid = rng.uniform(0.0, 30.0, K)
             quads = rng.uniform(0.0, 30.0, K)
-            noise = NoiseState(rng.uniform(0.1, 5.0, K), rng.uniform(0.1, 5.0, K), 2.0)
-            energy = EnergyState(rng.uniform(0.1, 5.0, K), rng.uniform(0.1, 5.0, K), 3.0)
+            noise = VarianceChain(rng.uniform(0.1, 5.0, K), rng.uniform(0.1, 5.0, K), 2.0)
+            energy = VarianceChain(rng.uniform(0.1, 5.0, K), rng.uniform(0.1, 5.0, K), 3.0)
             got = cost_from_stats(resid, quads, noise, energy, M)
             want = oracles.naive_cost(noise.variances, noise.aux, 2.0, resid,
                                       energy.variances, energy.aux, 3.0, quads, M)
@@ -64,12 +64,12 @@ class TestCost:
         resid = rng.uniform(0.0, 30.0, K)
         quads = rng.uniform(0.0, 30.0, K)
         zeta = 2.0
-        noise = NoiseState(rng.uniform(0.1, 5.0, K), rng.uniform(0.1, 5.0, K), zeta)
-        energy = EnergyState(rng.uniform(0.1, 5.0, K), rng.uniform(0.1, 5.0, K), 3.0)
+        noise = VarianceChain(rng.uniform(0.1, 5.0, K), rng.uniform(0.1, 5.0, K), zeta)
+        energy = VarianceChain(rng.uniform(0.1, 5.0, K), rng.uniform(0.1, 5.0, K), 3.0)
         base = cost_from_stats(resid, quads, noise, energy, M)
         k = 5  # interior aux, couples variances[4] and variances[5]
         w = noise.aux[k]
-        bumped = NoiseState(noise.variances, noise.aux.copy(), zeta)
+        bumped = VarianceChain(noise.variances, noise.aux.copy(), zeta)
         bumped.aux[k] = 2.0 * w
         got_delta = cost_from_stats(resid, quads, bumped, energy, M) - base
         want_delta = -(2 * zeta - 1) * np.log(2.0) + zeta * w * (
@@ -81,8 +81,8 @@ class TestCost:
         basis = decompose(build_correlation(1))
         state = SolverState(
             denoised=np.array([[1.0]]),
-            noise=NoiseState(np.array([1.0]), np.array([1.0]), 2.0),
-            energy=EnergyState(np.array([1.0]), np.array([1.0]), 2.0),
+            noise=VarianceChain(np.array([1.0]), np.array([1.0]), 2.0),
+            energy=VarianceChain(np.array([1.0]), np.array([1.0]), 2.0),
         )
         state.noise.variances = np.array([-1.0])  # corrupt after construction
         with pytest.raises(NonFiniteError):
@@ -93,11 +93,9 @@ class TestDenoise:
     def test_initialisation_follows_contract(self, consts):
         _, noisy = brown_block(consts, 40, seed=9)
         config = SolverConfig()
-        denoised, noise, energy = _initial_state(noisy, config)
+        noise, energy = _initial_state(noisy, config)
         mean_wave = noisy.mean(axis=1)
-        assert np.array_equal(denoised, np.repeat(mean_wave[:, None], 40, axis=1))
-        assert np.array_equal(noise.variances,
-                              np.maximum(mean_wave, config.variance_floor))
+        assert np.array_equal(noise.variances, np.maximum(mean_wave, VARIANCE_FLOOR))
         assert np.all(energy.variances == 10.0)
         assert np.all(noise.aux == 1e-12) and np.all(energy.aux == 1e-12)
 
@@ -124,13 +122,13 @@ class TestDenoise:
     def test_stationarity_at_convergence(self, consts):
         _, noisy = brown_block(consts, 120, seed=8)
         config = SolverConfig()
-        basis = decompose(build_correlation(120, config.lengthscale, config.jitter))
+        basis = decompose(build_correlation(120, config.lengthscale))
         state = denoise(noisy, config, basis)
         assert state.stop_reason == "converged"
         noise = copy.deepcopy(state.noise)
         energy = copy.deepcopy(state.energy)
-        coeffs = noisy @ basis.vectors
-        denoised, _ = _sweep(noisy, coeffs, basis, noise, energy, config)
+        spectral, _ = _sweep(noisy @ basis.vectors, basis, noise, energy)
+        denoised = spectral @ basis.vectors.T
 
         def rel(a, b):
             return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-30)
@@ -150,10 +148,10 @@ class TestDenoise:
         K, M = noisy.shape
         idx = np.arange(M, dtype=float)
         corr = np.exp(-((idx[:, None] - idx[None, :]) / config.lengthscale) ** 2)
-        corr[np.diag_indices(M)] += config.jitter
+        corr[np.diag_indices(M)] += DEFAULT_JITTER
 
         mean_wave = noisy.mean(axis=1)
-        nv = np.maximum(mean_wave, config.variance_floor)
+        nv = np.maximum(mean_wave, VARIANCE_FLOOR)
         ev = np.full(K, 10.0)
         na = np.full(K, 1e-12)
         ea = np.full(K, 1e-12)
@@ -173,7 +171,7 @@ class TestDenoise:
                         arr[k] = (stats[k] + 2 * c * aux[k]) / (2 * c + M + 2)
                     else:
                         arr[k] = (stats[k] + 2 * c * (aux[k] + aux[k + 1])) / (4 * c + M + 2)
-                    arr[k] = max(arr[k], config.variance_floor)
+                    arr[k] = max(arr[k], VARIANCE_FLOOR)
                 aux[0] = (2 * c - 1) * arr[0] / c
                 for k in range(1, K):
                     aux[k] = (2 * c - 1) / (c * (1 / arr[k - 1] + 1 / arr[k]))
@@ -213,11 +211,12 @@ class TestStream:
         ])
         assert np.array_equal(streamed, by_hand)
 
-    def test_parallel_matches_serial_bitwise(self, consts):
-        _, noisy = brown_block(consts, 100, seed=13)
-        serial = denoise_stream(noisy, 24, threads=1)
-        parallel = denoise_stream(noisy, 24, threads=4)
-        assert np.array_equal(serial, parallel)
+    def test_time_reversal_equivariance(self, consts):
+        _, noisy = brown_block(consts, 1000, seed=13)
+        forward = denoise_stream(noisy, 500)
+        backward = denoise_stream(noisy[:, ::-1], 500)[:, ::-1]
+        rel = np.linalg.norm(backward - forward) / np.linalg.norm(forward)
+        assert rel <= 1e-12
 
     def test_with_states_returns_traces(self, consts):
         _, noisy = brown_block(consts, 50, seed=14)
