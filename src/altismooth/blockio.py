@@ -82,15 +82,15 @@ def write_trajectory_csv(path, traj) -> None:
 
 
 def read_trajectory_csv(path):
-    """Returns (swh, tau, pu) arrays from a trajectory CSV."""
+    """Returns (swh, tau, pu) arrays from a trajectory or estimate CSV."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = {"swh_m", "tau_m", "pu"} - set(reader.fieldnames or ())
         if missing:
-            raise ValueError(f"{path}: trajectory CSV missing columns {missing}")
+            raise ValueError(f"{path}: CSV missing columns {missing}")
         rows = [(float(r["swh_m"]), float(r["tau_m"]), float(r["pu"])) for r in reader]
     if not rows:
-        raise ValueError(f"{path}: empty trajectory CSV")
+        raise ValueError(f"{path}: empty CSV")
     arr = np.asarray(rows, dtype=float)
     return arr[:, 0], arr[:, 1], arr[:, 2]
 

@@ -98,13 +98,11 @@ def sigma_c_sq(params: BrownParams, consts: BrownConstants) -> float:
 
 
 def _stable_terms(u, v):
-    """Return (1+erf(u))*exp(v) and (2/sqrt(pi))*exp(v - u^2) without overflow.
+    """Return (1+erf(u))*exp(v) without overflow.
 
-    For u < 0 the first product is computed as erfcx(-u)*exp(v - u^2), which
-    stays bounded even when exp(v) alone would overflow.
+    For u < 0 the product is computed as erfcx(-u)*exp(v - u^2), which stays
+    bounded even when exp(v) alone would overflow.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
     rise = np.empty_like(u)
     neg = u < 0.0
     with np.errstate(over="raise", invalid="raise"):
@@ -112,10 +110,28 @@ def _stable_terms(u, v):
             rise[neg] = erfcx(-u[neg]) * np.exp(v[neg] - u[neg] ** 2)
             pos = ~neg
             rise[pos] = (1.0 + erf(u[pos])) * np.exp(v[pos])
-            bell = _TWO_OVER_SQRTPI * np.exp(v - u**2)
         except FloatingPointError as exc:
             raise NonFiniteError(f"waveform evaluation overflowed: {exc}") from exc
-    return rise, bell
+    return rise
+
+
+def _edge_terms(swh, tau, consts: BrownConstants):
+    """Leading-edge terms (tau_s, sc2, sc, u, v) at the gate times.
+
+    swh and tau (meters) are scalars or length-M arrays; u, the erf argument,
+    and v, the exponent, come out K x M.
+    """
+    swh = np.asarray(swh, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    t = consts.gate_times()[:, None]
+    a = consts.alpha
+    with np.errstate(over="ignore", invalid="ignore"):
+        tau_s = 2.0 * tau / consts.c
+        sc2 = (swh / (2.0 * consts.c)) ** 2 + consts.sigma_p**2
+        sc = np.sqrt(sc2)
+        u = (t - tau_s - a * sc2) / (_SQRT2 * sc)
+        v = -a * (t - tau_s - a * sc2 / 2.0)
+    return tau_s, sc2, sc, u, v
 
 
 def waveform_block(swh, tau, pu, consts: BrownConstants) -> np.ndarray:
@@ -131,16 +147,8 @@ def waveform_block(swh, tau, pu, consts: BrownConstants) -> np.ndarray:
     if np.any(swh < 0) or np.any(pu < 0):
         raise ValueError("swh and pu must be non-negative")
 
-    t = consts.gate_times()[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        tau_s = 2.0 * tau[None, :] / consts.c
-        sc2 = (swh[None, :] / (2.0 * consts.c)) ** 2 + consts.sigma_p**2
-        sc = np.sqrt(sc2)
-        a = consts.alpha
-        u = (t - tau_s - a * sc2) / (_SQRT2 * sc)
-        v = -a * (t - tau_s - a * sc2 / 2.0)
-    rise, _ = _stable_terms(u, v)
-    block = 0.5 * pu[None, :] * rise
+    _, _, _, u, v = _edge_terms(swh, tau, consts)
+    block = 0.5 * pu[None, :] * _stable_terms(u, v)
     if not np.all(np.isfinite(block)):
         raise NonFiniteError("waveform evaluation produced non-finite samples")
     return block
@@ -154,19 +162,17 @@ def brown_waveform(params: BrownParams, consts: BrownConstants) -> np.ndarray:
 def brown_jacobian(params: BrownParams, consts: BrownConstants) -> np.ndarray:
     """(K x 3) partial derivatives of the waveform w.r.t. (swh, tau, pu).
 
-    tau is differentiated in meters.  Uses the same overflow-safe
-    factorisation as the forward model.
+    tau is differentiated in meters.  Uses the same edge terms and
+    overflow-safe factorisation as the forward model.
     """
-    t = consts.gate_times()
+    t = consts.gate_times()[:, None]
     c = consts.c
     a = consts.alpha
-    tau_s = 2.0 * params.tau / c
-    sc2 = sigma_c_sq(params, consts)
-    sc = np.sqrt(sc2)
-
-    u = (t - tau_s - a * sc2) / (_SQRT2 * sc)
-    v = -a * (t - tau_s - a * sc2 / 2.0)
-    rise, bell = _stable_terms(u, v)
+    tau_s, sc2, sc, u, v = _edge_terms(params.swh, params.tau, consts)
+    rise = _stable_terms(u, v)
+    # Cannot overflow where rise did not: for u < 0 it has rise's exponent,
+    # for u >= 0 its exponent v - u^2 is below v.
+    bell = _TWO_OVER_SQRTPI * np.exp(v - u**2)
 
     half_pu = 0.5 * params.pu
     # d/d pu: the model is linear in pu.

@@ -20,6 +20,7 @@ import numpy as np
 from . import bench, blockio, metrics
 from .brown import BrownConstants, gates_to_meters, jason2_like, load_constants
 from .errors import AltismoothError, BadRangeError
+from .kernels import DEFAULT_LENGTHSCALE
 from .retrack import fit_block, svd_filter_stream
 from .simulate import NOISE_MODES, NoiseSpec, clean_block, corrupt, input_rsnr, make_trajectory
 from .solver import SolverConfig, denoise_stream
@@ -76,12 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
     tau_group.add_argument("--tau-gates", type=float, default=None,
                            help="constant epoch [gates]")
     gen.add_argument("--pu", type=float, default=130.0, help="constant amplitude")
-    gen.add_argument("--swh-range", type=_parse_pair, default=(3.4, 5.4))
-    gen.add_argument("--tau-range", type=_parse_pair, default=(14.3, 15.0),
+    gen.add_argument("--swh-range", type=_parse_pair, default=bench.TABLE1_SWH_RANGE)
+    gen.add_argument("--tau-range", type=_parse_pair, default=bench.TABLE1_TAU_RANGE_M,
                      help="epoch range in meters")
-    gen.add_argument("--pu-range", type=_parse_pair, default=(150.0, 190.0))
+    gen.add_argument("--pu-range", type=_parse_pair, default=bench.TABLE1_PU_RANGE)
     gen.add_argument("--traj-file", type=Path, default=None)
-    gen.add_argument("--looks", type=float, default=90.0)
+    gen.add_argument("--looks", type=float, default=bench.DEFAULT_LOOKS)
     gen.add_argument("--noise-mode", choices=NOISE_MODES,
                      default="multiplicative-speckle")
     gen.add_argument("--noise-var", type=float, default=None,
@@ -92,12 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="denoise a block file with the coordinate-descent solver")
     den.add_argument("--input", type=Path, required=True)
     den.add_argument("--output", type=Path, required=True)
-    den.add_argument("--chunk", type=int, default=500)
-    den.add_argument("--zeta", type=float, default=2.0)
-    den.add_argument("--eta", type=float, default=2.0)
-    den.add_argument("--xi", type=float, default=1e-3)
-    den.add_argument("--tmax", type=int, default=100)
-    den.add_argument("--lengthscale", type=float, default=30.0)
+    den.add_argument("--chunk", type=int, default=bench.DEFAULT_CHUNK)
+    den.add_argument("--zeta", type=float, default=SolverConfig.zeta)
+    den.add_argument("--eta", type=float, default=SolverConfig.eta)
+    den.add_argument("--xi", type=float, default=SolverConfig.xi)
+    den.add_argument("--tmax", type=int, default=SolverConfig.t_max)
+    den.add_argument("--lengthscale", type=float, default=DEFAULT_LENGTHSCALE)
     den.add_argument("--emit-cost-trace", type=Path, default=None,
                      help="write a chunk,iteration,cost CSV here")
 
@@ -106,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--input", type=Path, required=True)
     est.add_argument("--output", type=Path, required=True)
     est.add_argument("--method", choices=("ls", "svd-ls", "sse-ls"), default="ls")
-    est.add_argument("--svd-threshold", type=float, default=0.84)
-    est.add_argument("--chunk", type=int, default=500)
+    est.add_argument("--svd-threshold", type=float, default=bench.DEFAULT_SVD_THRESHOLD)
+    est.add_argument("--chunk", type=int, default=bench.DEFAULT_CHUNK)
 
     met = sub.add_parser("metrics", parents=[common],
                          help="evaluate RSNR and parameter error statistics")
@@ -130,9 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
                      default=list(bench.SWEEP_SWH_LIST))
     ben.add_argument("--runs", type=int, default=None,
                      help="Monte-Carlo runs per SWH (default 500 * scale)")
-    ben.add_argument("--looks", type=float, default=90.0)
-    ben.add_argument("--svd-threshold", type=float, default=0.84)
-    ben.add_argument("--chunk", type=int, default=500)
+    ben.add_argument("--looks", type=float, default=bench.DEFAULT_LOOKS)
+    ben.add_argument("--svd-threshold", type=float, default=bench.DEFAULT_SVD_THRESHOLD)
+    ben.add_argument("--chunk", type=int, default=bench.DEFAULT_CHUNK)
     return parser
 
 
@@ -143,13 +144,8 @@ def _constants(args) -> BrownConstants:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        zeta=getattr(args, "zeta", 2.0),
-        eta=getattr(args, "eta", 2.0),
-        xi=getattr(args, "xi", 1e-3),
-        t_max=getattr(args, "tmax", 100),
-        lengthscale=getattr(args, "lengthscale", 30.0),
-    )
+    return SolverConfig(zeta=args.zeta, eta=args.eta, xi=args.xi, t_max=args.tmax,
+                        lengthscale=args.lengthscale)
 
 
 def _manifest_args(args) -> dict:
@@ -251,7 +247,7 @@ def cmd_estimate(args, argv) -> int:
     if args.method == "svd-ls":
         block = svd_filter_stream(block, args.chunk, args.svd_threshold)
     elif args.method == "sse-ls":
-        block = denoise_stream(block, args.chunk, _solver_config(args))
+        block = denoise_stream(block, args.chunk)
     fits = fit_block(block, consts)
     rows = [
         {
@@ -277,15 +273,6 @@ def cmd_estimate(args, argv) -> int:
     return EXIT_OK
 
 
-def _read_series_csv(path):
-    import csv as _csv
-
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = _csv.DictReader(fh)
-        rows = [(float(r["swh_m"]), float(r["tau_m"]), float(r["pu"])) for r in reader]
-    return np.asarray(rows, dtype=float)
-
-
 def cmd_metrics(args, argv) -> int:
     started = time.time()
     rows = []
@@ -297,8 +284,9 @@ def cmd_metrics(args, argv) -> int:
         rows.append({"metric": "rsnr_db", "param": "block",
                      "value": metrics.rsnr(clean, est)})
     if args.series is not None:
-        estimates = _read_series_csv(args.series)
-        truth = _read_series_csv(args.truth) if args.truth is not None else None
+        estimates = np.column_stack(blockio.read_trajectory_csv(args.series))
+        truth = (np.column_stack(blockio.read_trajectory_csv(args.truth))
+                 if args.truth is not None else None)
         series = metrics.ParamSeries(estimates, truth)
         for p, name in enumerate(metrics.PARAM_NAMES):
             if truth is not None:

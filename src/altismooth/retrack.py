@@ -4,10 +4,10 @@
 Gauss-Newton (Levenberg-style) least squares on the Brown model.  The cost
 surface is multi-modal in (SWH, tau): from a single mid-window start a large
 fraction of noisy fits converges onto a spurious swh = 0 boundary minimum.
-The fit therefore always runs a small start set: the fixed nominal
-(swh = 2 m, tau = mid-window, pu = max(y)) plus a five-point epoch grid,
-keeping the best finishing cost.  A caller-supplied ``init`` disables the
-grid and trusts the single start.
+The fit therefore runs five starts, swh = 2 m and pu = max(y) with tau at
+the window fractions ``TAU_GRID_FRACTIONS``, mid-window first, and keeps
+the lowest finishing cost; on a tie the earlier start wins.  A
+caller-supplied ``init`` replaces the five with that single start.
 
 ``svd_filter`` reconstructs a block from the smallest leading set of
 singular components whose cumulative squared-singular-value fraction
@@ -30,7 +30,8 @@ LAMBDA_GROW = 10.0
 LAMBDA_SHRINK = 3.0
 MAX_REJECTS = 10
 
-TAU_GRID_FRACTIONS = (0.1, 0.3, 0.5, 0.7, 0.9)
+# Mid-window first: on equal costs the earliest start wins.
+TAU_GRID_FRACTIONS = (0.5, 0.1, 0.3, 0.7, 0.9)
 
 
 @dataclass(frozen=True)
@@ -110,14 +111,9 @@ def ls_fit(
     if init is not None:
         starts = [np.array([init.swh, init.tau, init.pu])]
     else:
-        nominal = np.array(
-            [2.0, 0.5 * consts.window_meters, max(float(y.max()), 1e-6)]
-        )
-        starts = [nominal]
-        for frac in TAU_GRID_FRACTIONS:
-            grid_start = nominal.copy()
-            grid_start[1] = frac * consts.window_meters
-            starts.append(grid_start)
+        pu0 = max(float(y.max()), 1e-6)
+        starts = [np.array([2.0, frac * consts.window_meters, pu0])
+                  for frac in TAU_GRID_FRACTIONS]
 
     best = None
     for start in starts:

@@ -135,8 +135,6 @@ def make_trajectory(
     if kind == "constant":
         if swh is None or tau is None or pu is None:
             raise ValueError("constant trajectory needs swh, tau and pu")
-        if swh < 0 or pu < 0:
-            raise BadRangeError("swh and pu must be non-negative")
         ones = np.ones(num_signals)
         traj = ParamTrajectory(swh * ones, tau * ones, pu * ones, seed=seed)
     elif kind == "smooth-random":

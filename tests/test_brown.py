@@ -105,6 +105,8 @@ class TestWaveform:
         p = BrownParams(swh=1e300, tau=40.0, pu=1.0)
         with pytest.raises(NonFiniteError):
             brown_waveform(p, consts)
+        with pytest.raises(NonFiniteError):
+            brown_jacobian(p, consts)
 
     def test_negative_inputs_rejected(self, consts):
         with pytest.raises(ValueError):

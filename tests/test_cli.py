@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from altismooth import blockio
-from altismooth.cli import main
+from altismooth import SolverConfig, blockio
+from altismooth.cli import _solver_config, build_parser, main
 
 
 def digest(path):
@@ -125,6 +125,25 @@ class TestDenoiseEstimateMetrics:
         assert ("rmse", "swh") in rows and ("std_20hz", "pu") in rows
         assert rows[("rmse", "tau")] < 0.5
 
+    @pytest.mark.parametrize("bad_flag, text, message", [
+        ("--series", "index,swh_m,tau_m\n0,2.0,14.5\n", "missing columns"),
+        ("--truth", "index,swh_m,tau_m\n0,2.0,14.5\n", "missing columns"),
+        ("--series", "index,swh_m,tau_m,pu\n", "empty CSV"),
+    ], ids=["series-missing-column", "truth-missing-column", "header-only"])
+    def test_bad_series_csv_exits_two(self, generated, capsys, bad_flag, text, message):
+        est = generated / "est.csv"
+        assert run("estimate", "--input", generated / "noisy.blk",
+                   "--output", est) == 0
+        files = {"--series": est, "--truth": generated / "trajectory.csv"}
+        files[bad_flag] = generated / "bad.csv"
+        files[bad_flag].write_text(text)
+        capsys.readouterr()
+        code = run("metrics", "--series", files["--series"],
+                   "--truth", files["--truth"], "--output", generated / "m.csv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+
     def test_missing_input_exits_four(self, tmp_path):
         code = run("denoise", "--input", tmp_path / "absent.blk",
                    "--output", tmp_path / "out.blk")
@@ -214,6 +233,10 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_denoise_defaults_are_solver_defaults(self):
+        args = build_parser().parse_args(["denoise", "--input", "a", "--output", "b"])
+        assert _solver_config(args) == SolverConfig()
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,9 @@ import pytest
 
 import altismooth as alt
 from altismooth import BrownParams, brown_jacobian, brown_waveform
+from altismooth.errors import DivergedError
 from altismooth.retrack import (
+    TAU_GRID_FRACTIONS,
     fit_block,
     ls_fit,
     svd_filter,
@@ -102,6 +104,31 @@ class TestLsFit:
         assert 0.40 * 0.7 <= rmse[0] <= 0.40 * 1.3      # swh, meters
         assert 0.06 * 0.7 <= rmse[1] <= 0.06 * 1.3      # tau, meters
         assert 2.00 * 0.7 <= rmse[2] <= 2.00 * 1.3      # pu
+
+    def test_default_fit_is_best_of_grid_starts(self, consts):
+        # the default fit equals, bit for bit, the lowest-residual single-start
+        # fit over the epoch grid, the earliest start winning ties.  Costs are
+        # compared before the square root, which can merge neighbouring costs.
+        assert len(set(TAU_GRID_FRACTIONS)) == len(TAU_GRID_FRACTIONS)
+        _, y0 = exact_waveform(consts)
+        noisy = alt.corrupt(np.repeat(y0[:, None], 6, axis=1),
+                            alt.NoiseSpec(looks=90.0, seed=0))
+        winners = []
+        for y in noisy.T:
+            best, best_cost, best_index = None, None, None
+            for i, frac in enumerate(TAU_GRID_FRACTIONS):
+                start = BrownParams(2.0, frac * consts.window_meters, max(y.max(), 1e-6))
+                try:
+                    cand = ls_fit(y, consts, init=start)
+                except DivergedError:
+                    continue
+                resid = y - brown_waveform(cand.params, consts)
+                cost = float(resid @ resid)
+                if best is None or cost < best_cost:
+                    best, best_cost, best_index = cand, cost, i
+            assert ls_fit(y, consts) == best
+            winners.append(best_index)
+        assert any(i != 0 for i in winners)
 
     def test_rejects_bad_waveform(self, consts):
         with pytest.raises(ValueError):
