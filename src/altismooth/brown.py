@@ -72,14 +72,21 @@ class BrownConstants:
 
 @dataclass(frozen=True)
 class BrownParams:
-    """One waveform's geophysical parameters: SWH [m], epoch tau [m], amplitude pu."""
+    """Geophysical parameters: SWH [m], epoch tau [m], amplitude pu.
 
-    swh: float
-    tau: float
-    pu: float
+    Scalars describe one waveform; equal-length 1-D arrays describe a batch
+    of n waveforms, triplet i being (swh[i], tau[i], pu[i]).
+    """
+
+    swh: float | np.ndarray
+    tau: float | np.ndarray
+    pu: float | np.ndarray
 
     def __post_init__(self):
-        if self.swh < 0 or self.pu < 0:
+        swh, tau, pu = np.asarray(self.swh), np.asarray(self.tau), np.asarray(self.pu)
+        if swh.ndim > 1 or tau.shape != swh.shape or pu.shape != swh.shape:
+            raise ValueError("swh, tau and pu must be scalars or equal-length 1-D arrays")
+        if (swh < 0).any() or (pu < 0).any():
             raise ValueError("swh and pu must be non-negative")
 
 
@@ -105,10 +112,11 @@ def _stable_terms(u, v):
     """
     rise = np.empty_like(u)
     neg = u < 0.0
+    pos = ~neg
+    u_neg = u[neg]
     with np.errstate(over="raise", invalid="raise"):
         try:
-            rise[neg] = erfcx(-u[neg]) * np.exp(v[neg] - u[neg] ** 2)
-            pos = ~neg
+            rise[neg] = erfcx(-u_neg) * np.exp(v[neg] - u_neg**2)
             rise[pos] = (1.0 + erf(u[pos])) * np.exp(v[pos])
         except FloatingPointError as exc:
             raise NonFiniteError(f"waveform evaluation overflowed: {exc}") from exc
@@ -116,22 +124,31 @@ def _stable_terms(u, v):
 
 
 def _edge_terms(swh, tau, consts: BrownConstants):
-    """Leading-edge terms (tau_s, sc2, sc, u, v) at the gate times.
+    """Leading-edge terms (dt, sc2, sc, u, v) at the gate times.
 
-    swh and tau (meters) are scalars or length-M arrays; u, the erf argument,
-    and v, the exponent, come out K x M.
+    swh and tau (meters) are scalars or length-M arrays, always evaluated as
+    1-D arrays so that one triplet and a batch take the same arithmetic.
+    dt = t - tau_s, u (the erf argument) and v (the exponent) come out K x M.
     """
-    swh = np.asarray(swh, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    t = consts.gate_times()[:, None]
+    swh = np.atleast_1d(np.asarray(swh, dtype=float))
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))
     a = consts.alpha
     with np.errstate(over="ignore", invalid="ignore"):
-        tau_s = 2.0 * tau / consts.c
+        dt = consts.gate_times()[:, None] - 2.0 * tau / consts.c
         sc2 = (swh / (2.0 * consts.c)) ** 2 + consts.sigma_p**2
         sc = np.sqrt(sc2)
-        u = (t - tau_s - a * sc2) / (_SQRT2 * sc)
-        v = -a * (t - tau_s - a * sc2 / 2.0)
-    return tau_s, sc2, sc, u, v
+        u = (dt - a * sc2) / (_SQRT2 * sc)
+        v = -a * (dt - a * sc2 / 2.0)
+    return dt, sc2, sc, u, v
+
+
+def _waveform(swh, tau, pu, consts: BrownConstants) -> np.ndarray:
+    """K x M model block of validated, broadcastable parameter arrays."""
+    _, _, _, u, v = _edge_terms(swh, tau, consts)
+    block = 0.5 * np.atleast_1d(np.asarray(pu, dtype=float)) * _stable_terms(u, v)
+    if not np.isfinite(block).all():
+        raise NonFiniteError("waveform evaluation produced non-finite samples")
+    return block
 
 
 def waveform_block(swh, tau, pu, consts: BrownConstants) -> np.ndarray:
@@ -146,35 +163,38 @@ def waveform_block(swh, tau, pu, consts: BrownConstants) -> np.ndarray:
     swh, tau, pu = np.broadcast_arrays(swh, tau, pu)
     if np.any(swh < 0) or np.any(pu < 0):
         raise ValueError("swh and pu must be non-negative")
-
-    _, _, _, u, v = _edge_terms(swh, tau, consts)
-    block = 0.5 * pu[None, :] * _stable_terms(u, v)
-    if not np.all(np.isfinite(block)):
-        raise NonFiniteError("waveform evaluation produced non-finite samples")
-    return block
+    return _waveform(swh, tau, pu, consts)
 
 
 def brown_waveform(params: BrownParams, consts: BrownConstants) -> np.ndarray:
-    """Sampled waveform s(k*T), k = 1..K, as a length-K vector."""
-    return waveform_block(params.swh, params.tau, params.pu, consts)[:, 0]
+    """Sampled waveform s(k*T), k = 1..K.
+
+    A length-K vector for one triplet; for a batch of n, the K x n block
+    whose column i is the waveform of triplet i.
+    """
+    block = _waveform(params.swh, params.tau, params.pu, consts)
+    return block if np.ndim(params.swh) else block[:, 0]
 
 
 def brown_jacobian(params: BrownParams, consts: BrownConstants) -> np.ndarray:
-    """(K x 3) partial derivatives of the waveform w.r.t. (swh, tau, pu).
+    """Partial derivatives of the waveform w.r.t. (swh, tau, pu).
 
-    tau is differentiated in meters.  Uses the same edge terms and
+    K x 3 for one triplet; for a batch of n, the n x K x 3 stack whose item
+    i is the jacobian of triplet i, each item C-contiguous like the single
+    one.  tau is differentiated in meters.  Uses the same edge terms and
     overflow-safe factorisation as the forward model.
     """
-    t = consts.gate_times()[:, None]
     c = consts.c
     a = consts.alpha
-    tau_s, sc2, sc, u, v = _edge_terms(params.swh, params.tau, consts)
+    swh = np.atleast_1d(np.asarray(params.swh, dtype=float))
+    pu = np.atleast_1d(np.asarray(params.pu, dtype=float))
+    dt, sc2, sc, u, v = _edge_terms(swh, params.tau, consts)
     rise = _stable_terms(u, v)
     # Cannot overflow where rise did not: for u < 0 it has rise's exponent,
     # for u >= 0 its exponent v - u^2 is below v.
     bell = _TWO_OVER_SQRTPI * np.exp(v - u**2)
 
-    half_pu = 0.5 * params.pu
+    half_pu = 0.5 * pu
     # d/d pu: the model is linear in pu.
     d_pu = 0.5 * rise
 
@@ -183,15 +203,15 @@ def brown_jacobian(params: BrownParams, consts: BrownConstants) -> np.ndarray:
     d_tau = d_tau_s * (2.0 / c)
 
     # d/d swh through sc2: d sc2/d swh = swh/(2 c^2).
-    d_sc2 = params.swh / (2.0 * c**2)
+    d_sc2 = swh / (2.0 * c**2)
     d_sc = d_sc2 / (2.0 * sc)
-    du_dsc = -(t - tau_s) / (_SQRT2 * sc2) - a / _SQRT2
+    du_dsc = -dt / (_SQRT2 * sc2) - a / _SQRT2
     d_swh = half_pu * (bell * du_dsc * d_sc + rise * (a**2 / 2.0) * d_sc2)
 
-    jac = np.column_stack([d_swh, d_tau, d_pu])
-    if not np.all(np.isfinite(jac)):
+    jac = np.array([d_swh, d_tau, d_pu]).T.copy()  # n x K x 3, C-contiguous
+    if not np.isfinite(jac).all():
         raise NonFiniteError("jacobian evaluation produced non-finite entries")
-    return jac
+    return jac if np.ndim(params.swh) else jac[0]
 
 
 def load_constants(path) -> BrownConstants:

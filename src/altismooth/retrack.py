@@ -1,13 +1,22 @@
 """Reference estimators: model-fit retracking and SVD-truncation filtering.
 
-``ls_fit`` recovers (SWH, tau, Pu) from a single waveform by damped
-Gauss-Newton (Levenberg-style) least squares on the Brown model.  The cost
-surface is multi-modal in (SWH, tau): from a single mid-window start a large
-fraction of noisy fits converges onto a spurious swh = 0 boundary minimum.
-The fit therefore runs five starts, swh = 2 m and pu = max(y) with tau at
-the window fractions ``TAU_GRID_FRACTIONS``, mid-window first, and keeps
-the lowest finishing cost; on a tie the earlier start wins.  A
-caller-supplied ``init`` replaces the five with that single start.
+``ls_fit`` recovers (SWH, tau, Pu) from a single waveform by
+Levenberg-Marquardt least squares on the Brown model.  The cost surface is
+multi-modal in (SWH, tau): from a single mid-window start a large fraction
+of noisy fits converges onto a spurious swh = 0 boundary minimum.  The fit
+therefore runs five starts, swh = 2 m and pu = max(y) with tau at the window
+fractions ``TAU_GRID_FRACTIONS``, mid-window first, and keeps the lowest
+finishing cost; on a tie the earlier start wins.  A caller-supplied
+``init`` replaces the five with that single start.
+
+The starts run as one batch (Moré 1978, "The Levenberg-Marquardt
+algorithm: implementation and theory"): each round evaluates the model
+and its jacobian once for all starts still iterating and solves their
+damped 3 x 3 systems as one stack, while every start keeps its own
+damping, rejections, convergence test and iteration cap, so its result
+does not depend on which other starts share its batch.  A start that
+cannot descend is dropped; the fit raises DivergedError only when every
+start is dropped.
 
 ``svd_filter`` reconstructs a block from the smallest leading set of
 singular components whose cumulative squared-singular-value fraction
@@ -42,55 +51,100 @@ class FitResult:
     converged: bool
 
 
-def _project(theta: np.ndarray) -> np.ndarray:
-    out = theta.copy()
-    out[0] = max(out[0], 0.0)
-    out[2] = max(out[2], 0.0)
-    return out
+# Lower bounds of (swh, tau, pu): a trial step is clipped back onto swh, pu >= 0.
+_LOWER = np.array([0.0, -np.inf, 0.0])
 
 
-def _model(theta: np.ndarray, consts: BrownConstants) -> np.ndarray:
-    return brown_waveform(BrownParams(swh=theta[0], tau=theta[1], pu=theta[2]), consts)
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair, the same BLAS ddot as ``a[i] @ b[i]``."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _fit_from(y, consts, theta0):
-    """Damped Gauss-Newton from one start; returns (theta, cost, iters, converged)."""
-    theta = _project(np.asarray(theta0, dtype=float))
-    resid = y - _model(theta, consts)
-    cost = float(resid @ resid)
-    lam = LAMBDA_INIT
-    for iteration in range(1, MAX_ITERATIONS + 1):
-        jac = brown_jacobian(
-            BrownParams(swh=theta[0], tau=theta[1], pu=theta[2]), consts
-        )
-        grad = jac.T @ resid
-        normal = jac.T @ jac
-        damping = np.diag(normal).copy()
-        damping += 1e-12 * max(damping.max(), 1.0)  # keeps zero columns solvable
+def _residuals(y: np.ndarray, theta: np.ndarray, consts: BrownConstants) -> np.ndarray:
+    """n x K residuals of the parameter rows of theta, C-contiguous.
 
-        rejects = 0
-        while True:
+    Contiguous rows keep each start's cost, ``_rowdot(resid, resid)``, the
+    same ddot whatever other starts share its batch.
+    """
+    wave = brown_waveform(BrownParams(*theta.T), consts)
+    return np.ascontiguousarray((y[:, None] - wave).T)
+
+
+def _solve(systems: np.ndarray, rhs: np.ndarray):
+    """Solve the stacked 3 x 3 systems; (steps, solved), solved False where singular."""
+    solved = np.ones(len(rhs), dtype=bool)
+    try:
+        return np.linalg.solve(systems, rhs[:, :, None])[:, :, 0], solved
+    except np.linalg.LinAlgError:
+        steps = np.zeros_like(rhs)
+        for i, (system, b) in enumerate(zip(systems, rhs)):
             try:
-                step = np.linalg.solve(normal + lam * np.diag(damping), grad)
+                steps[i] = np.linalg.solve(system, b)
             except np.linalg.LinAlgError:
-                step = None
-            if step is not None:
-                trial = _project(theta + step)
-                trial_resid = y - _model(trial, consts)
-                trial_cost = float(trial_resid @ trial_resid)
-                if trial_cost <= cost:
-                    theta, resid, cost = trial, trial_resid, trial_cost
-                    lam = max(lam / LAMBDA_SHRINK, 1e-12)
-                    break
-            rejects += 1
-            lam *= LAMBDA_GROW
-            if rejects >= MAX_REJECTS:
-                raise DivergedError(
-                    f"no descent after {MAX_REJECTS} consecutive damped steps"
-                )
-        if np.linalg.norm(step) <= STEP_TOL * (np.linalg.norm(theta) + STEP_TOL):
-            return theta, cost, iteration, True
-    return theta, cost, MAX_ITERATIONS, False
+                solved[i] = False
+        return steps, solved
+
+
+def _lm_fit(y, consts, starts):
+    """Levenberg-Marquardt from every row of the n x 3 starts at once.
+
+    Each start keeps its own damping lam, iteration count and convergence
+    test.  A round takes one jacobian for every active start; the starts
+    then try damped steps until each has accepted one.  A rejected start
+    stays pending and retries with its damping grown by LAMBDA_GROW; after
+    MAX_REJECTS rejections in one round it diverges.  One model call serves every trial
+    of a pass.  Returns per start the parameters, cost, iterations and the
+    converged and diverged flags.
+    """
+    theta = np.maximum(np.array(starts, dtype=float), _LOWER)
+    n = len(theta)
+    resid = _residuals(y, theta, consts)
+    cost = _rowdot(resid, resid)
+    lam = np.full(n, LAMBDA_INIT)
+    iterations = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    diverged = np.zeros(n, dtype=bool)
+    active = np.ones(n, dtype=bool)
+
+    while active.any():
+        rows = np.flatnonzero(active)
+        jac = brown_jacobian(BrownParams(*theta[rows].T), consts)
+        jac_t = jac.transpose(0, 2, 1)
+        grad = (jac_t @ resid[rows][:, :, None])[:, :, 0]
+        normal = jac_t @ jac
+        damping = np.diagonal(normal, axis1=1, axis2=2).copy()
+        # keeps zero columns solvable
+        damping += 1e-12 * np.maximum(damping.max(axis=1), 1.0)[:, None]
+        damping = np.eye(3) * damping[:, None, :]
+        iterations[rows] += 1
+
+        pending = np.arange(len(rows))  # positions in rows still without an accepted step
+        for _ in range(MAX_REJECTS):
+            at = rows[pending]
+            steps, solved = _solve(normal[pending] + lam[at, None, None] * damping[pending],
+                                   grad[pending])
+            tried, steps = at[solved], steps[solved]
+            trial = np.maximum(theta[tried] + steps, _LOWER)
+            trial_resid = _residuals(y, trial, consts)
+            trial_cost = _rowdot(trial_resid, trial_resid)
+            better = trial_cost <= cost[tried]
+            won, steps = tried[better], steps[better]
+            theta[won], resid[won] = trial[better], trial_resid[better]
+            cost[won] = trial_cost[better]
+            lam[won] = np.maximum(lam[won] / LAMBDA_SHRINK, 1e-12)
+            step_norm = np.sqrt(_rowdot(steps, steps))
+            theta_norm = np.sqrt(_rowdot(theta[won], theta[won]))
+            converged[won[step_norm <= STEP_TOL * (theta_norm + STEP_TOL)]] = True
+
+            rejected = ~solved
+            rejected[solved] = ~better
+            pending = pending[rejected]
+            lam[rows[pending]] *= LAMBDA_GROW
+            if not pending.size:
+                break
+        diverged[rows[pending]] = True
+        active &= ~(converged | diverged) & (iterations < MAX_ITERATIONS)
+    return theta, cost, iterations, converged, diverged
 
 
 def ls_fit(
@@ -109,28 +163,21 @@ def ls_fit(
         raise ValueError("waveform must be finite")
 
     if init is not None:
-        starts = [np.array([init.swh, init.tau, init.pu])]
+        starts = [[init.swh, init.tau, init.pu]]
     else:
         pu0 = max(float(y.max()), 1e-6)
-        starts = [np.array([2.0, frac * consts.window_meters, pu0])
-                  for frac in TAU_GRID_FRACTIONS]
+        starts = [[2.0, frac * consts.window_meters, pu0] for frac in TAU_GRID_FRACTIONS]
 
-    best = None
-    for start in starts:
-        try:
-            cand = _fit_from(y, consts, start)
-        except DivergedError:
-            continue
-        if best is None or cand[1] < best[1]:
-            best = cand
-    if best is None:
+    theta, cost, iterations, converged, diverged = _lm_fit(y, consts, starts)
+    kept = np.flatnonzero(~diverged)
+    if kept.size == 0:
         raise DivergedError("all fit starts diverged (bad waveform?)")
-    theta, cost, iters, conv = best
+    best = kept[np.argmin(cost[kept])]  # the earliest of equal costs
     return FitResult(
-        params=BrownParams(swh=theta[0], tau=theta[1], pu=theta[2]),
-        residual_norm=float(np.sqrt(cost)),
-        iterations=iters,
-        converged=conv,
+        params=BrownParams(swh=theta[best, 0], tau=theta[best, 1], pu=theta[best, 2]),
+        residual_norm=float(np.sqrt(cost[best])),
+        iterations=int(iterations[best]),
+        converged=bool(converged[best]),
     )
 
 

@@ -10,6 +10,10 @@ from __future__ import annotations
 import mpmath as mp
 import numpy as np
 
+from altismooth import retrack
+from altismooth.brown import BrownParams, brown_jacobian, brown_waveform
+from altismooth.errors import DivergedError
+
 
 def mp_sigma_c_sq(swh, sigma_p, c, dps: int = 50):
     with mp.workdps(dps):
@@ -143,3 +147,53 @@ def dense_posterior_mean_raw(row, noise_var, energy_var, corr_values) -> np.ndar
     corr_inv = np.linalg.solve(corr_values, np.eye(M))
     lhs = corr_inv / energy_var + np.eye(M) / noise_var
     return np.linalg.solve(lhs, row / noise_var)
+
+
+def naive_lm_fit(y, consts, theta0):
+    """Damped Gauss-Newton from one start, one model call per trial.
+
+    The scalar form of the batched core behind ``retrack.ls_fit``.  Returns
+    (theta, cost, iterations, converged); raises DivergedError after
+    MAX_REJECTS consecutive rejected steps.
+    """
+    def project(theta):
+        out = theta.copy()
+        out[0] = max(out[0], 0.0)
+        out[2] = max(out[2], 0.0)
+        return out
+
+    def model(theta):
+        return brown_waveform(BrownParams(swh=theta[0], tau=theta[1], pu=theta[2]), consts)
+
+    theta = project(np.asarray(theta0, dtype=float))
+    resid = y - model(theta)
+    cost = float(resid @ resid)
+    lam = retrack.LAMBDA_INIT
+    for iteration in range(1, retrack.MAX_ITERATIONS + 1):
+        jac = brown_jacobian(BrownParams(swh=theta[0], tau=theta[1], pu=theta[2]), consts)
+        grad = jac.T @ resid
+        normal = jac.T @ jac
+        damping = np.diag(normal).copy()
+        damping += 1e-12 * max(damping.max(), 1.0)
+
+        rejects = 0
+        while True:
+            try:
+                step = np.linalg.solve(normal + lam * np.diag(damping), grad)
+            except np.linalg.LinAlgError:
+                step = None
+            if step is not None:
+                trial = project(theta + step)
+                trial_resid = y - model(trial)
+                trial_cost = float(trial_resid @ trial_resid)
+                if trial_cost <= cost:
+                    theta, resid, cost = trial, trial_resid, trial_cost
+                    lam = max(lam / retrack.LAMBDA_SHRINK, 1e-12)
+                    break
+            rejects += 1
+            lam *= retrack.LAMBDA_GROW
+            if rejects >= retrack.MAX_REJECTS:
+                raise DivergedError(f"no descent after {rejects} consecutive damped steps")
+        if np.linalg.norm(step) <= retrack.STEP_TOL * (np.linalg.norm(theta) + retrack.STEP_TOL):
+            return theta, cost, iteration, True
+    return theta, cost, retrack.MAX_ITERATIONS, False

@@ -150,6 +150,42 @@ class TestJacobian:
             assert err.max() <= 1e-5
 
 
+class TestBatch:
+    def test_batch_columns_equal_single_calls(self, consts):
+        # criterion 7's 3x3x3 grid, random points, and a wave height at which
+        # libm pow and a multiply once squared swh/2c to different last bits
+        grid = np.array(list(itertools.product(
+            (0.5, 2.0, 6.0), gates_to_meters(np.array([25.0, 31.0, 45.0]), consts),
+            (50.0, 130.0, 200.0))))
+        rng = np.random.default_rng(7)
+        rand = np.column_stack([rng.uniform(0.0, 20.0, 300), rng.uniform(-5.0, 60.0, 300),
+                                rng.uniform(0.0, 300.0, 300)])
+        pts = np.vstack([grid, rand, [[0.5855205791277278, 14.5, 130.0]]])
+        batch = BrownParams(*pts.T)
+        block = brown_waveform(batch, consts)
+        jac = brown_jacobian(batch, consts)
+        assert block.shape == (consts.num_gates, len(pts))
+        assert jac.shape == (len(pts), consts.num_gates, 3) and jac.flags.c_contiguous
+        for i, (swh, tau, pu) in enumerate(pts):
+            one = BrownParams(swh, tau, pu)
+            assert np.array_equal(block[:, i], brown_waveform(one, consts))
+            assert np.array_equal(jac[i], brown_jacobian(one, consts))
+
+    def test_batch_validation(self):
+        ok = np.array([1.0, 2.0])
+        BrownParams(ok, ok, ok)
+        with pytest.raises(ValueError, match="non-negative"):
+            BrownParams(np.array([1.0, -0.1]), ok, ok)
+        with pytest.raises(ValueError, match="non-negative"):
+            BrownParams(ok, ok, np.array([-1.0, 1.0]))
+        with pytest.raises(ValueError, match="equal-length"):
+            BrownParams(ok, np.array([1.0, 2.0, 3.0]), ok)
+        with pytest.raises(ValueError, match="equal-length"):
+            BrownParams(ok, 10.0, ok)
+        with pytest.raises(ValueError, match="equal-length"):
+            BrownParams(ok[None, :], ok[None, :], ok[None, :])
+
+
 class TestConstantsProfile:
     def test_packaged_profile_invariants(self, consts):
         assert consts.num_gates == 104

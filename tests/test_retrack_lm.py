@@ -1,0 +1,167 @@
+"""The batched Levenberg-Marquardt core behind ``ls_fit``.
+
+Each start in a batch must follow exactly the path it would follow alone,
+so these tests pin the core against the scalar loop in ``oracles`` and
+against itself in different batches, and drive its divergence handling
+through patched model derivatives.
+"""
+
+import numpy as np
+import pytest
+
+import altismooth as alt
+from altismooth import BrownParams, brown_waveform, retrack
+from altismooth.errors import DivergedError
+from altismooth.retrack import TAU_GRID_FRACTIONS, ls_fit
+
+import oracles
+
+
+def grid_starts(y, consts):
+    return [[2.0, f * consts.window_meters, max(y.max(), 1e-6)] for f in TAU_GRID_FRACTIONS]
+
+
+def speckled(consts, n, seed):
+    """n 90-look waveforms of random (swh, tau, pu)."""
+    rng = np.random.default_rng(seed)
+    clean = alt.waveform_block(rng.uniform(0.5, 8.0, n),
+                               alt.gates_to_meters(rng.uniform(20.0, 50.0, n), consts),
+                               rng.uniform(50.0, 200.0, n), consts)
+    return alt.corrupt(clean, alt.NoiseSpec(looks=90.0, seed=seed))
+
+
+def best_of(y, consts, starts):
+    """Lowest-cost single-start fit, earliest winning ties, and its index."""
+    best, best_cost, best_index = None, None, None
+    for i, start in enumerate(starts):
+        try:
+            cand = ls_fit(y, consts, init=BrownParams(*start))
+        except DivergedError:
+            continue
+        resid = y - brown_waveform(cand.params, consts)
+        cost = float(resid @ resid)
+        if best is None or cost < best_cost:
+            best, best_cost, best_index = cand, cost, i
+    return best, best_index
+
+
+def test_single_start_matches_scalar_oracle(consts):
+    # 60 waveforms x 5 starts: same iterations and convergence, and
+    # parameters and residual within 1e-12 relative of the scalar loop
+    noisy = speckled(consts, 60, seed=31)
+    fits = 0
+    for y in noisy.T:
+        for start in grid_starts(y, consts):
+            try:
+                theta, cost, iterations, converged = oracles.naive_lm_fit(y, consts, start)
+            except DivergedError:
+                with pytest.raises(DivergedError):
+                    ls_fit(y, consts, init=BrownParams(*start))
+                continue
+            fit = ls_fit(y, consts, init=BrownParams(*start))
+            assert (fit.iterations, fit.converged) == (iterations, converged)
+            got = np.array([fit.params.swh, fit.params.tau, fit.params.pu, fit.residual_norm])
+            want = np.append(theta, np.sqrt(cost))
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+            fits += 1
+    assert fits >= 290
+
+
+def test_start_result_independent_of_its_batch(consts):
+    # a start's result is the same bit for bit alone, among the grid
+    # starts, and among reordered and extra far-off starts
+    noisy = speckled(consts, 8, seed=32)
+    for y in noisy.T:
+        starts = grid_starts(y, consts)
+        extra = [[0.0, 0.0, 1.0], [15.0, 60.0, 2.0 * y.max()]]
+        batches = [starts, starts[::-1] + extra, extra + starts + starts]
+        results = [retrack._lm_fit(y, consts, batch) for batch in batches]
+        for i, start in enumerate(starts):
+            alone = retrack._lm_fit(y, consts, [start])
+            for batch, result in zip(batches, results):
+                row = batch.index(start)
+                for got, want in zip(result, alone):
+                    assert np.array_equal(got[row], want[0])
+
+
+def wave_and_winner(consts, seed=0):
+    """A speckled waveform, its grid starts and the unpatched winning start."""
+    y0 = brown_waveform(BrownParams(2.0, float(alt.gates_to_meters(31.0, consts)), 130.0),
+                        consts)
+    y = alt.corrupt(y0[:, None], alt.NoiseSpec(looks=90.0, seed=seed))[:, 0]
+    starts = grid_starts(y, consts)
+    _, winner = best_of(y, consts, starts)
+    return y, starts, winner
+
+
+def patch_jacobian(monkeypatch, tau, change):
+    """Apply change to the jacobian of every triplet whose epoch equals tau.
+
+    A start that never accepts a step keeps its epoch, so the patch follows
+    that start and no other.
+    """
+    real = retrack.brown_jacobian
+
+    def patched(params, consts):
+        jac = real(params, consts)
+        hit = np.atleast_1d(params.tau) == tau
+        jac[hit] = change(jac[hit])
+        return jac
+
+    monkeypatch.setattr(retrack, "brown_jacobian", patched)
+
+
+def test_start_exhausting_rejects_is_dropped(consts, monkeypatch):
+    # the winning start is sent uphill, so every damped step is rejected;
+    # after MAX_REJECTS it diverges and the other starts decide the fit
+    y, starts, winner = wave_and_winner(consts)
+    others = [s for i, s in enumerate(starts) if i != winner]
+    expected, _ = best_of(y, consts, others)
+    assert ls_fit(y, consts) != expected
+    patch_jacobian(monkeypatch, starts[winner][1], lambda jac: -jac)
+    real_waveform, evaluations = retrack.brown_waveform, []
+
+    def counted(params, c):
+        evaluations.append(params)
+        return real_waveform(params, c)
+
+    monkeypatch.setattr(retrack, "brown_waveform", counted)
+    with pytest.raises(DivergedError):
+        ls_fit(y, consts, init=BrownParams(*starts[winner]))
+    assert len(evaluations) == 1 + retrack.MAX_REJECTS  # the start, then each rejected trial
+    assert ls_fit(y, consts) == expected
+
+
+def test_start_with_singular_systems_is_dropped(consts, monkeypatch):
+    # np.linalg.solve reports the winning start's systems as singular; the
+    # stacked solve then fails as a whole and the per-start fallback must
+    # reject only that start's trial
+    y, starts, winner = wave_and_winner(consts)
+    others = [s for i, s in enumerate(starts) if i != winner]
+    expected, _ = best_of(y, consts, others)
+    assert ls_fit(y, consts) != expected
+    patch_jacobian(monkeypatch, starts[winner][1], lambda jac: np.zeros_like(jac))
+    real_solve = np.linalg.solve
+    stacked_failures = []
+
+    def solve(a, b):
+        singular = ~np.asarray(b).reshape(-1, 3).any(axis=1)  # zero right-hand side
+        if singular.any():
+            if np.ndim(a) == 3 and len(a) > 1:
+                stacked_failures.append(len(a))
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    with pytest.raises(DivergedError):
+        ls_fit(y, consts, init=BrownParams(*starts[winner]))
+    assert ls_fit(y, consts) == expected
+    assert stacked_failures
+
+
+def test_all_starts_diverging_raises(consts, monkeypatch):
+    y, _, _ = wave_and_winner(consts)
+    real = retrack.brown_jacobian
+    monkeypatch.setattr(retrack, "brown_jacobian", lambda params, c: -real(params, c))
+    with pytest.raises(DivergedError, match="all fit starts diverged"):
+        ls_fit(y, consts)
