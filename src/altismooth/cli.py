@@ -269,7 +269,9 @@ def cmd_estimate(args, argv) -> int:
         {"estimates": str(args.output)}, started,
         seeds={"master": args.seed},
     )
-    print(f"retracked {len(rows)} signals with {args.method}")
+    grid = sum(not fit.warm for fit in fits)
+    print(f"retracked {len(rows)} signals with {args.method}; "
+          f"{grid}/{len(rows)} ran the full start grid")
     return EXIT_OK
 
 

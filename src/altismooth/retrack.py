@@ -18,6 +18,17 @@ does not depend on which other starts share its batch.  A start that
 cannot descend is dropped; the fit raises DivergedError only when every
 start is dropped.
 
+``fit_block`` uses the smoothness of the track: column m runs one start
+from column m-1's accepted fit and keeps it, marked ``warm``.  It runs the
+grid instead, exactly as ``ls_fit`` alone does, for
+- the first column, which has no neighbour;
+- a column after a fit on swh = 0, the spurious minimum a start there keeps;
+- a warm fit that diverged, did not converge or ended on swh = 0, which the
+  grid's four other starts may avoid;
+- a warm fit costing over ``WARM_COST_RATIO`` times the previous column's:
+  neighbouring speckle moves the cost far less, so it is another minimum.
+Where minima compete, a column's fit can depend on the visiting order.
+
 ``svd_filter`` reconstructs a block from the smallest leading set of
 singular components whose cumulative squared-singular-value fraction
 reaches the requested energy threshold.
@@ -25,7 +36,7 @@ reaches the requested energy threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,6 +53,9 @@ MAX_REJECTS = 10
 # Mid-window first: on equal costs the earliest start wins.
 TAU_GRID_FRACTIONS = (0.5, 0.1, 0.3, 0.7, 0.9)
 
+# fit_block reruns the grid above this ratio of warm to previous cost.
+WARM_COST_RATIO = 4.0
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -49,6 +63,7 @@ class FitResult:
     residual_norm: float
     iterations: int
     converged: bool
+    warm: bool = False  # set by fit_block on a kept warm-started fit
 
 
 # Lower bounds of (swh, tau, pu): a trial step is clipped back onto swh, pu >= 0.
@@ -181,11 +196,22 @@ def ls_fit(
     )
 
 
-def fit_block(
-    block: np.ndarray, consts: BrownConstants, init: BrownParams | None = None
-) -> list[FitResult]:
-    """ls_fit applied to every column of a block."""
-    return [ls_fit(block[:, m], consts, init) for m in range(block.shape[1])]
+def fit_block(block: np.ndarray, consts: BrownConstants) -> list[FitResult]:
+    """Retrack every column, warm-starting each from its predecessor's fit."""
+    fits: list[FitResult] = []
+    for y in block.T:
+        prev = fits[-1] if fits else None
+        if prev is not None and prev.params.swh > 0:
+            try:
+                warm = ls_fit(y, consts, init=prev.params)
+            except DivergedError:
+                warm = None
+            if (warm is not None and warm.converged and warm.params.swh > 0
+                    and warm.residual_norm**2 <= WARM_COST_RATIO * prev.residual_norm**2):
+                fits.append(replace(warm, warm=True))
+                continue
+        fits.append(ls_fit(y, consts))
+    return fits
 
 
 def truncation_rank(singular_values: np.ndarray, energy_threshold: float) -> int:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from altismooth import SolverConfig, blockio
+from altismooth import SolverConfig, blockio, fit_block, jason2_like
 from altismooth.cli import _solver_config, build_parser, main
 
 
@@ -110,6 +110,15 @@ class TestDenoiseEstimateMetrics:
             assert len(rows) == 60
             assert set(rows[0]) == {"index", "swh_m", "tau_m", "pu",
                                     "residual", "converged"}
+
+    def test_estimate_reports_grid_columns(self, generated, capsys):
+        capsys.readouterr()
+        assert run("estimate", "--input", generated / "noisy.blk",
+                   "--output", generated / "est.csv") == 0
+        fits = fit_block(blockio.read_block(generated / "noisy.blk"), jason2_like())
+        grid = sum(not f.warm for f in fits)
+        assert 1 <= grid < 60
+        assert f"; {grid}/60 ran the full start grid" in capsys.readouterr().out
 
     def test_metrics_series_statistics(self, generated):
         est = generated / "est.csv"

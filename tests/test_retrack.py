@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import altismooth as alt
-from altismooth import BrownParams, brown_jacobian, brown_waveform
+from altismooth import BrownParams, brown_jacobian, brown_waveform, retrack
 from altismooth.errors import DivergedError
 from altismooth.retrack import (
     TAU_GRID_FRACTIONS,
+    WARM_COST_RATIO,
     fit_block,
     ls_fit,
     svd_filter,
@@ -137,6 +140,139 @@ class TestLsFit:
         y[0] = np.nan
         with pytest.raises(ValueError):
             ls_fit(y, consts)
+
+
+def track(consts, kind, n, seed, denoised):
+    """n speckled 90-look signals of a constant or smooth-random track."""
+    if kind == "constant":
+        traj = alt.make_trajectory("constant", n, swh=2.0, pu=130.0,
+                                   tau=float(alt.gates_to_meters(31.0, consts)))
+    else:
+        traj = alt.make_trajectory("smooth-random", n, seed=seed, swh_range=(3.4, 5.4),
+                                   tau_range=(14.3, 15.0), pu_range=(150.0, 190.0))
+    noisy = alt.corrupt(alt.clean_block(traj, consts), alt.NoiseSpec(looks=90.0, seed=seed))
+    return alt.denoise_stream(noisy, n) if denoised else noisy
+
+
+def cost(fit):
+    return fit.residual_norm**2
+
+
+def record_fits(monkeypatch, change_warm=lambda fit: fit):
+    """Wrap retrack.ls_fit to log each call's start and outcome.
+
+    Each warm-started fit is passed through change_warm before fit_block sees it.
+    """
+    real, calls = retrack.ls_fit, []
+
+    def recorded(y, consts, init=None):
+        try:
+            fit = real(y, consts, init)
+        except DivergedError as exc:
+            calls.append((init, exc))
+            raise
+        if init is not None:
+            fit = change_warm(fit)
+        calls.append((init, fit))
+        return fit
+
+    monkeypatch.setattr(retrack, "ls_fit", recorded)
+    return calls
+
+
+class TestFitBlock:
+    @pytest.mark.parametrize("kind, seed", [("constant", 12), ("smooth-random", 13)])
+    def test_time_reversal(self, consts, kind, seed):
+        # warm starts make a column's fit depend on the visiting order; on
+        # smooth tracks both orders must still reach the same minima
+        block = track(consts, kind, 120, seed, denoised=True)
+        forward = fit_block(block, consts)
+        backward = fit_block(block[:, ::-1], consts)[::-1]
+        assert sum(f.warm for f in forward) >= 110
+        for f, b in zip(forward, backward):
+            assert abs(cost(f) - cost(b)) <= 1e-9 * cost(f)
+            assert np.allclose([f.params.swh, f.params.tau, f.params.pu],
+                               [b.params.swh, b.params.tau, b.params.pu], rtol=0.0, atol=1e-5)
+
+    @pytest.mark.parametrize("denoised", [False, True])
+    def test_no_column_above_grid_cost(self, consts, denoised):
+        block = track(consts, "constant", 80, 14, denoised)
+        fits = fit_block(block, consts)
+        assert sum(f.warm for f in fits) >= 70
+        for y, fit in zip(block.T, fits):
+            assert cost(fit) <= cost(ls_fit(y, consts)) * (1 + 1e-9)
+
+    def test_each_column_starts_from_its_predecessor(self, consts, monkeypatch):
+        block = track(consts, "constant", 3, 15, denoised=False)
+        calls = record_fits(monkeypatch)
+        fits = fit_block(block, consts)
+        assert [init for init, _ in calls] == [None, fits[0].params, fits[1].params]
+        assert [f.warm for f in fits] == [False, True, True]
+
+    def _swh0_block(self, consts):
+        # speckled swh = 0 waveforms: the grid fits column 0 at swh > 0 and
+        # columns 1 and 2 on the swh = 0 boundary
+        _, y0 = exact_waveform(consts, swh=0.0)
+        block = alt.corrupt(np.repeat(y0[:, None], 3, axis=1), alt.NoiseSpec(looks=90.0, seed=1))
+        grid = [ls_fit(y, consts) for y in block.T]
+        assert grid[0].params.swh > 0 and grid[1].params.swh == 0 == grid[2].params.swh
+        return block, grid
+
+    def test_warm_fit_on_swh0_runs_grid(self, consts, monkeypatch):
+        block, grid = self._swh0_block(consts)
+        calls = record_fits(monkeypatch)
+        fits = fit_block(block[:, :2], consts)
+        _, (init, warm), _ = calls
+        assert init == grid[0].params and warm.params.swh == 0 and warm.converged
+        assert cost(warm) <= WARM_COST_RATIO * cost(grid[0])  # only swh = 0 rejects it
+        assert fits == grid[:2] and not fits[1].warm
+
+    def test_previous_fit_on_swh0_skips_warm_start(self, consts, monkeypatch):
+        block, grid = self._swh0_block(consts)
+        calls = record_fits(monkeypatch)
+        fits = fit_block(block[:, [1, 0]], consts)
+        assert [init for init, _ in calls] == [None, None]
+        assert fits == [grid[1], grid[0]]
+
+    def test_diverged_warm_fit_runs_grid(self, consts, monkeypatch):
+        # a negated jacobian at the warm start's epoch sends it uphill; a
+        # start that accepts no step keeps its epoch, so no grid start is hit
+        block = track(consts, "constant", 2, 16, denoised=False)
+        grid = [ls_fit(y, consts) for y in block.T]
+        real = retrack.brown_jacobian
+
+        def negated(params, c):
+            jac = real(params, c)
+            hit = np.atleast_1d(params.tau) == grid[0].params.tau
+            jac[hit] = -jac[hit]
+            return jac
+
+        monkeypatch.setattr(retrack, "brown_jacobian", negated)
+        calls = record_fits(monkeypatch)
+        fits = fit_block(block, consts)
+        assert [init for init, _ in calls] == [None, grid[0].params, None]
+        assert isinstance(calls[1][1], DivergedError)
+        assert fits == grid
+
+    def test_costly_warm_fit_runs_grid(self, consts, monkeypatch):
+        # after an exact waveform any speckle costs far above the ratio
+        _, y0 = exact_waveform(consts)
+        noisy = alt.corrupt(y0[:, None], alt.NoiseSpec(looks=90.0, seed=17))[:, 0]
+        grid = [ls_fit(y0, consts), ls_fit(noisy, consts)]
+        calls = record_fits(monkeypatch)
+        fits = fit_block(np.column_stack([y0, noisy]), consts)
+        _, (_, warm), _ = calls
+        assert warm.converged and warm.params.swh > 0
+        assert cost(warm) > WARM_COST_RATIO * cost(grid[0])
+        assert fits == grid
+
+    def test_unconverged_warm_fit_runs_grid(self, consts, monkeypatch):
+        block = track(consts, "constant", 2, 18, denoised=False)
+        grid = [ls_fit(y, consts) for y in block.T]
+        calls = record_fits(monkeypatch, lambda fit: dataclasses.replace(fit, converged=False))
+        fits = fit_block(block, consts)
+        assert [init for init, _ in calls] == [None, grid[0].params, None]
+        assert fits == grid
 
 
 class TestSvdFilter:
