@@ -7,7 +7,8 @@ and a per-gate signal-energy variance, both smoothed along the gate axis by
 coupled auxiliary chains.  Every update is closed-form, so each sweep is
 vector work on the block's eigenbasis coefficients, and the negative log
 posterior decreases monotonically until the relative change drops below the
-threshold.
+threshold.  Only the leading eigenmodes of the smoothness kernel are kept;
+the rest sit at the kernel's jitter, and their energy is counted as noise.
 """
 
 from altismooth import (
@@ -47,7 +48,9 @@ print(f"estimated noise variance at gate {mid + 1}: {sigma2:8.2f} "
       f"(speckle theory says ~{expected:.2f})\n")
 
 # Chunked processing of the whole track; chunk width trades runtime for a
-# slightly better posterior (longer smoothness context).
+# slightly better posterior (longer smoothness context).  The kept eigenmodes
+# grow far slower than the width.
 for chunk in (100, 250, 500, 1500):
-    out = denoise_stream(noisy, chunk)
-    print(f"  chunk {chunk:5d}: output RSNR {rsnr(clean, out):6.2f} dB")
+    out, states = denoise_stream(noisy, chunk, with_states=True)
+    print(f"  chunk {chunk:5d}: output RSNR {rsnr(clean, out):6.2f} dB, "
+          f"{states[0].modes:3d} eigenmodes kept")

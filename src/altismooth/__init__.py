@@ -52,7 +52,7 @@ from .simulate import (
     input_rsnr,
     make_trajectory,
 )
-from .solver import SolverConfig, SolverState, cost, denoise, denoise_stream
+from .solver import SolverConfig, SolverState, denoise, denoise_stream
 
 __all__ = [
     "AltismoothError",
@@ -78,7 +78,6 @@ __all__ = [
     "build_correlation",
     "clean_block",
     "corrupt",
-    "cost",
     "decompose",
     "denoise",
     "denoise_stream",

@@ -237,6 +237,8 @@ def cmd_denoise(args, argv) -> int:
     converged = sum(1 for s in states if s.stop_reason == "converged")
     print(f"denoised {block.shape[1]} signals in {len(states)} chunk(s); "
           f"{converged}/{len(states)} converged")
+    kept = {(s.denoised.shape[1], s.modes) for s in states}
+    print("kept eigenmodes: " + ", ".join(f"{r}/{m}" for m, r in sorted(kept)))
     return EXIT_OK
 
 

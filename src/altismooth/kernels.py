@@ -42,7 +42,8 @@ class CorrelationMatrix:
 class CovarianceBasis:
     """Eigenbasis of the inverse correlation (precision) matrix.
 
-    vectors            (M x M) orthonormal eigenvectors, column i paired with
+    vectors            (M x M, or the solver's kept M x r) orthonormal
+                       eigenvectors, column i paired with
     precision_eigvals  eigenvalue i of the inverse correlation, sorted
                        descending (and therefore all positive).
     """

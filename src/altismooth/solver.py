@@ -8,13 +8,15 @@ by coupled auxiliary chains (see ``gmrf``).  The joint negative log
 posterior is minimised one coordinate block at a time; every update has a
 closed form.
 
-The sweep runs entirely on basis coefficients.  The correlation's eigenbasis
-V is a full orthonormal M x M matrix, so with coefficients C = Y V computed
-once, the rows' conditional modes have coefficients F * C (F the per-gate
-diagonal shrinkage), each gate's residual power is sum(((1 - F) * C)**2) and
-its prior energy sum(r * (F * C)**2) over the precision eigenvalues r.  No
-sweep back-projects: the denoised block (F * C) V^T is formed once, after
-the loop.
+The sweep runs on the basis coefficients of only the r modes whose kernel
+eigenvalue is >= MODE_CUTOFF times the largest.  The cutoff is the kernel's
+jitter: the dropped modes sit at it, where the shrinkage filter is ~0, and
+the prior pins them to zero (exact MAP under that prior, so the cost never
+rises).  With V_r the kept M x r eigenvectors and C = Y V_r computed once,
+the rows' modes have coefficients F * C (F the per-gate diagonal shrinkage),
+each gate's residual power is sum(((1 - F) * C)**2) plus the tail energy
+|y_k|^2 - |c_k|^2 of its dropped modes, and its prior energy sum(p * (F * C)**2)
+over the kept precision eigenvalues p.  (F * C) V_r^T is formed once, at the end.
 
 Sweep order per iteration: rows s_k (all gates), noise variances, noise
 auxiliaries, energy variances, energy auxiliaries.  The cost is evaluated
@@ -42,6 +44,7 @@ from .kernels import (
 
 ENERGY_VAR_INIT = 10.0
 AUX_INIT = 1e-12
+MODE_CUTOFF = 1e-8  # kept modes: kernel eigenvalue >= MODE_CUTOFF * largest
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,7 @@ class SolverState:
     cost_trace: list[float] = field(default_factory=list)
     iterations: int = 0
     stop_reason: str = "max-iterations"
+    modes: int = 0  # eigenmodes kept, r
 
 
 def cost_from_stats(
@@ -98,18 +102,6 @@ def cost_from_stats(
     return value
 
 
-def cost(state: SolverState, block: np.ndarray, basis: CovarianceBasis) -> float:
-    """Cost of an arbitrary state against a block (used mostly by tests)."""
-    block = np.asarray(block, dtype=float)
-    if block.shape != state.denoised.shape:
-        raise ShapeMismatchError(
-            f"block shape {block.shape} != state shape {state.denoised.shape}"
-        )
-    resid = ((block - state.denoised) ** 2).sum(axis=1)
-    quads = prior_energy(state.denoised @ basis.vectors, basis)
-    return cost_from_stats(resid, quads, state.noise, state.energy, block.shape[1])
-
-
 def _initial_state(block: np.ndarray, config: SolverConfig) -> tuple:
     noise = gmrf.initial_chain(block.mean(axis=1), config.zeta, AUX_INIT)
     energy = gmrf.initial_chain(
@@ -118,16 +110,17 @@ def _initial_state(block: np.ndarray, config: SolverConfig) -> tuple:
     return noise, energy
 
 
-def _sweep(coeffs, basis, noise, energy):
-    """One full coordinate sweep on basis coefficients.
+def _sweep(coeffs, tail, kept, num_signals, noise, energy):
+    """One full coordinate sweep on the kept modes' coefficients.
 
+    ``tail`` is each row's energy in the dropped modes, all of it residual;
+    the chains count all ``num_signals`` = M signals, not the r kept modes.
     Mutates the chains; returns the rows' coefficients and the cost.
     """
-    num_signals = coeffs.shape[1]
-    filt = shrinkage_filter(noise.variances, energy.variances, basis)
+    filt = shrinkage_filter(noise.variances, energy.variances, kept)
     spectral = filt * coeffs
-    resid = (((1.0 - filt) * coeffs) ** 2).sum(axis=1)
-    quads = prior_energy(spectral, basis)
+    resid = (((1.0 - filt) * coeffs) ** 2).sum(axis=1) + tail
+    quads = prior_energy(spectral, kept)
 
     noise.variances = gmrf.variance_sweep(noise, resid, num_signals)
     noise.aux = gmrf.aux_sweep(noise)
@@ -161,24 +154,29 @@ def denoise(
         )
 
     noise, energy = _initial_state(block, config)
-    coeffs = block @ basis.vectors  # row k holds the basis coefficients of y_k
+    prec = basis.precision_eigvals  # descending, so the kept modes trail
+    first = num_signals - int(np.count_nonzero(prec * MODE_CUTOFF <= prec[-1]))
+    kept = CovarianceBasis(basis.vectors[:, first:], prec[first:])
+    coeffs = block @ kept.vectors  # row k holds the kept coefficients of y_k
+    tail = np.maximum((block**2).sum(axis=1) - (coeffs**2).sum(axis=1), 0.0)
 
     trace: list[float] = []
     stop_reason = "max-iterations"
     for _ in range(config.t_max):
-        spectral, value = _sweep(coeffs, basis, noise, energy)
+        spectral, value = _sweep(coeffs, tail, kept, num_signals, noise, energy)
         trace.append(value)
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= config.xi * abs(trace[-2]):
             stop_reason = "converged"
             break
 
     return SolverState(
-        denoised=spectral @ basis.vectors.T,
+        denoised=spectral @ kept.vectors.T,
         noise=noise,
         energy=energy,
         cost_trace=trace,
         iterations=len(trace),
         stop_reason=stop_reason,
+        modes=num_signals - first,
     )
 
 

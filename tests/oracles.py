@@ -13,6 +13,8 @@ import numpy as np
 from altismooth import retrack
 from altismooth.brown import BrownParams, brown_jacobian, brown_waveform
 from altismooth.errors import DivergedError
+from altismooth.kernels import prior_energy
+from altismooth.solver import cost_from_stats
 
 
 def mp_sigma_c_sq(swh, sigma_p, c, dps: int = 50):
@@ -89,6 +91,19 @@ def naive_cost(noise_v, noise_a, zeta, resid, energy_v, energy_a, eta, quads,
                num_signals) -> float:
     return naive_chain_cost(noise_v, noise_a, zeta, resid, num_signals) + \
         naive_chain_cost(energy_v, energy_a, eta, quads, num_signals)
+
+
+def cost(state, block, basis) -> float:
+    """The solver's cost of an arbitrary state against a block.
+
+    The statistics come from the dense residual and the full basis; the
+    terms, and their rejection of a non-positive state, are the solver's own
+    ``cost_from_stats``.
+    """
+    block = np.asarray(block, dtype=float)
+    resid = ((block - state.denoised) ** 2).sum(axis=1)
+    quads = prior_energy(state.denoised @ basis.vectors, basis)
+    return cost_from_stats(resid, quads, state.noise, state.energy, block.shape[1])
 
 
 def golden_section(fun, lo: float, hi: float, rel_tol: float = 1e-12,

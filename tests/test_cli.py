@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from altismooth import SolverConfig, blockio, fit_block, jason2_like
+from altismooth import SolverConfig, blockio, denoise_stream, fit_block, jason2_like
 from altismooth.cli import _solver_config, build_parser, main
 
 
@@ -86,6 +86,17 @@ class TestDenoiseEstimateMetrics:
         costs = [float(r["cost"]) for r in rows if r["chunk"] == "0"]
         assert all(b <= a + 1e-9 * abs(a) for a, b in zip(costs, costs[1:]))
         assert (generated / "denoised.blk.manifest.json").exists()
+
+    def test_denoise_reports_kept_modes(self, generated, capsys):
+        capsys.readouterr()
+        assert run("denoise", "--input", generated / "noisy.blk",
+                   "--output", generated / "denoised.blk", "--chunk", 25) == 0
+        _, states = denoise_stream(blockio.read_block(generated / "noisy.blk"), 25,
+                                   with_states=True)
+        converged = sum(s.stop_reason == "converged" for s in states)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"denoised 60 signals in 3 chunk(s); {converged}/3 converged"
+        assert lines[1] == f"kept eigenmodes: {states[-1].modes}/10, {states[0].modes}/25"
 
     def test_denoise_improves_rsnr_via_metrics_cmd(self, generated, capsys):
         out = generated / "denoised.blk"

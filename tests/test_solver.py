@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 import altismooth as alt
-from altismooth import NonFiniteError, ShapeMismatchError, SolverConfig
+from altismooth import NonFiniteError, ShapeMismatchError, SolverConfig, gmrf, solver
 from altismooth.gmrf import VARIANCE_FLOOR, VarianceChain
-from altismooth.kernels import DEFAULT_JITTER, build_correlation, decompose
+from altismooth.kernels import (
+    DEFAULT_JITTER,
+    CovarianceBasis,
+    build_correlation,
+    decompose,
+    prior_energy,
+)
 from altismooth.solver import (
     SolverState,
     _initial_state,
     _sweep,
     chunk_slices,
-    cost,
     cost_from_stats,
     denoise,
     denoise_stream,
@@ -43,7 +48,7 @@ class TestCost:
             noise=VarianceChain(np.array([1.0]), np.array([1.0]), 2.0),
             energy=VarianceChain(np.array([1.0]), np.array([1.0]), 2.0),
         )
-        got = cost(state, np.array([[3.0]]), basis)
+        got = oracles.cost(state, np.array([[3.0]]), basis)
         assert got == pytest.approx(8.5, rel=1e-12)
 
     def test_matches_naive_oracle_on_random_states(self):
@@ -86,7 +91,7 @@ class TestCost:
         )
         state.noise.variances = np.array([-1.0])  # corrupt after construction
         with pytest.raises(NonFiniteError):
-            cost(state, np.array([[1.0]]), basis)
+            oracles.cost(state, np.array([[1.0]]), basis)
 
 
 class TestDenoise:
@@ -127,8 +132,12 @@ class TestDenoise:
         assert state.stop_reason == "converged"
         noise = copy.deepcopy(state.noise)
         energy = copy.deepcopy(state.energy)
-        spectral, _ = _sweep(noisy @ basis.vectors, basis, noise, energy)
-        denoised = spectral @ basis.vectors.T
+        r = state.modes
+        kept = CovarianceBasis(basis.vectors[:, -r:], basis.precision_eigvals[-r:])
+        coeffs = noisy @ kept.vectors
+        tail = (noisy**2).sum(axis=1) - (coeffs**2).sum(axis=1)
+        spectral, _ = _sweep(coeffs, tail, kept, 120, noise, energy)
+        denoised = spectral @ kept.vectors.T
 
         def rel(a, b):
             return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-30)
@@ -139,8 +148,12 @@ class TestDenoise:
         assert rel(noise.aux, state.noise.aux) <= 10 * config.xi
         assert rel(energy.aux, state.energy.aux) <= 10 * config.xi
 
-    def test_matches_dense_reference_solver(self, consts):
-        # independent coordinate-descent loop using dense solves throughout
+    @pytest.mark.parametrize("cutoff, tol", [(solver.MODE_CUTOFF, 1e-6), (0.0, 1e-12)],
+                             ids=["default-cutoff", "no-cutoff"])
+    def test_matches_dense_reference_solver(self, consts, monkeypatch, cutoff, tol):
+        # independent coordinate-descent loop on the full model, dense solves
+        # throughout; without a cutoff the solver keeps every mode
+        monkeypatch.setattr(solver, "MODE_CUTOFF", cutoff)
         _, noisy = brown_block(consts, 40, seed=10)
         config = SolverConfig(xi=1e-15, t_max=12)
         fast = denoise(noisy, config).denoised
@@ -177,7 +190,31 @@ class TestDenoise:
                     aux[k] = (2 * c - 1) / (c * (1 / arr[k - 1] + 1 / arr[k]))
 
         rel = np.linalg.norm(fast - dense) / np.linalg.norm(dense)
-        assert rel <= 1e-6
+        assert rel <= tol
+
+    def test_kept_modes(self, consts, monkeypatch):
+        _, noisy = brown_block(consts, 500, seed=15)
+        assert denoise(noisy).modes <= 60
+        assert denoise(noisy[:, :1]).modes == 1
+        monkeypatch.setattr(solver, "MODE_CUTOFF", 0.0)
+        assert denoise(noisy).modes == 500
+
+    def test_tail_completes_residual_power(self, consts, monkeypatch):
+        # the chains' statistics, as the last sweep hands them over, against
+        # the back-projected rows: dense residual power and full-basis energy
+        _, noisy = brown_block(consts, 500, seed=16)
+        stats = []
+        sweep = gmrf.variance_sweep
+        monkeypatch.setattr(gmrf, "variance_sweep",
+                            lambda chain, s, m: stats.append(s) or sweep(chain, s, m))
+        state = denoise(noisy)
+        assert state.modes < 500
+        resid, quads = stats[-2:]
+        np.testing.assert_allclose(resid, ((noisy - state.denoised) ** 2).sum(axis=1),
+                                   rtol=1e-10)
+        basis = decompose(build_correlation(500))
+        np.testing.assert_allclose(quads, prior_energy(state.denoised @ basis.vectors, basis),
+                                   rtol=1e-10)
 
     def test_input_validation(self):
         with pytest.raises(ShapeMismatchError):
