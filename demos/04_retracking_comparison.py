@@ -51,7 +51,7 @@ for label, block in versions.items():
           f"{series.rmse(2):10.4f} {grid:10d}")
 
 print("\ngrid cols: signals whose fit ran the full five-start grid instead of "
-      "a warm start from the previous signal's fit")
+      "a warm start from the latest fit with swh > 0")
 print("\nnote: on constant-parameter blocks the energy rule keeps a single "
       "singular component, which collapses all SVD-filtered signals onto one "
       "shape; its swh/tau scatter is then artificially tiny while the "

@@ -8,6 +8,7 @@ temp-file + rename so readers never observe partial files.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import struct
@@ -109,6 +110,7 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+@functools.cache  # one git call per process, not one per manifest
 def _build_identifier() -> str:
     try:
         out = subprocess.run(

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bench, blockio, metrics
 from .brown import BrownConstants, gates_to_meters, jason2_like, load_constants
-from .errors import AltismoothError, BadRangeError
+from .errors import AltismoothError, BadRangeError, NonFiniteError
 from .kernels import DEFAULT_LENGTHSCALE
 from .retrack import fit_block, svd_filter_stream
 from .simulate import NOISE_MODES, NoiseSpec, clean_block, corrupt, input_rsnr, make_trajectory
@@ -246,6 +246,8 @@ def cmd_estimate(args, argv) -> int:
     started = time.time()
     consts = _constants(args)
     block = blockio.read_block(args.input)
+    if not np.isfinite(block).all():
+        raise NonFiniteError("input block contains non-finite values")
     if args.method == "svd-ls":
         block = svd_filter_stream(block, args.chunk, args.svd_threshold)
     elif args.method == "sse-ls":

@@ -1,4 +1,5 @@
 import json
+import subprocess
 
 import numpy as np
 import pytest
@@ -116,3 +117,20 @@ class TestReportsAndManifest:
         assert payload["outputs"] == {"out": "x.blk"}
         assert "package_version" in payload and "wallclock_seconds" in payload
         assert blockio.read_manifest(path) == payload
+
+    def test_build_identifier_is_read_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def run(argv, **kwargs):
+            calls.append(argv)
+            return subprocess.CompletedProcess(argv, 0, stdout="abc1234\n")
+
+        monkeypatch.setattr(blockio.subprocess, "run", run)
+        blockio._build_identifier.cache_clear()
+        try:
+            for name in ("a", "b"):
+                blockio.write_manifest(tmp_path / f"{name}.json", "generate", {}, {}, started=0.0)
+        finally:
+            blockio._build_identifier.cache_clear()
+        builds = [blockio.read_manifest(tmp_path / f"{name}.json")["build"] for name in "ab"]
+        assert builds == ["abc1234", "abc1234"] and len(calls) == 1

@@ -201,6 +201,18 @@ class TestDenoiseEstimateMetrics:
         code = run("denoise", "--input", path, "--output", tmp_path / "out.blk")
         assert code == 3
 
+    @pytest.mark.parametrize("method", ["ls", "svd-ls", "sse-ls"])
+    def test_estimate_non_finite_block_exits_three(self, tmp_path, capsys, method):
+        poisoned = np.ones((104, 8))
+        poisoned[50, 3] = np.nan
+        path = tmp_path / "poisoned.blk"
+        blockio.write_block(path, poisoned)
+        code = run("estimate", "--input", path, "--method", method,
+                   "--output", tmp_path / "est.csv")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "Traceback" not in err
+
 
 class TestBench:
     def test_table2_mini(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,26 +159,33 @@ def cost(fit):
     return fit.residual_norm**2
 
 
-def record_fits(monkeypatch, change_warm=lambda fit: fit):
-    """Wrap retrack.ls_fit to log each call's start and outcome.
+def record_fits(monkeypatch, change_warm=lambda out: out):
+    """Wrap retrack._lm_fit to log each call's waveforms, starts and outcome.
 
-    Each warm-started fit is passed through change_warm before fit_block sees it.
+    fit_block passes a warm batch one waveform per start, ls_fit a single
+    waveform.  Each warm batch's outcome is passed through change_warm
+    before fit_block sees it.
     """
-    real, calls = retrack.ls_fit, []
+    real, calls = retrack._lm_fit, []
 
-    def recorded(y, consts, init=None):
-        try:
-            fit = real(y, consts, init)
-        except DivergedError as exc:
-            calls.append((init, exc))
-            raise
-        if init is not None:
-            fit = change_warm(fit)
-        calls.append((init, fit))
-        return fit
+    def recorded(y, consts, starts):
+        out = real(y, consts, starts)
+        if np.ndim(y) == 2:
+            out = change_warm(out)
+        calls.append((np.array(y), np.array(starts), out))
+        return out
 
-    monkeypatch.setattr(retrack, "ls_fit", recorded)
+    monkeypatch.setattr(retrack, "_lm_fit", recorded)
     return calls
+
+
+def warm_batches(calls):
+    """(waveforms, starts, outcome) of each warm batch, in call order."""
+    return [call for call in calls if call[0].ndim == 2]
+
+
+def triplet(params):
+    return [params.swh, params.tau, params.pu]
 
 
 class TestFitBlock:
@@ -202,12 +210,49 @@ class TestFitBlock:
         for y, fit in zip(block.T, fits):
             assert cost(fit) <= cost(ls_fit(y, consts)) * (1 + 1e-9)
 
-    def test_each_column_starts_from_its_predecessor(self, consts, monkeypatch):
-        block = track(consts, "constant", 3, 15, denoised=False)
+    def test_rejects_bad_block_before_fitting(self, consts, monkeypatch):
+        block = track(consts, "constant", 40, 15, denoised=False)
+        poisoned = block.copy()
+        poisoned[50, -1] = np.nan
+        calls = record_fits(monkeypatch)
+        for bad, message in ((poisoned, "finite"), (block[1:], "gates"), (block[:, 0], "gates")):
+            with pytest.raises(ValueError, match=message):
+                fit_block(bad, consts)
+        assert calls == []
+
+    def test_peak_memory_stays_near_the_block(self, consts):
+        # fitting copies one batch of columns at a time, never the whole track
+        traj = alt.make_trajectory("smooth-random", 1600, seed=19, swh_range=(3.4, 5.4),
+                                   tau_range=(14.3, 15.0), pu_range=(150.0, 190.0))
+        noisy = alt.corrupt(alt.clean_block(traj, consts), alt.NoiseSpec(looks=90.0, seed=19))
+        block = alt.denoise_stream(noisy, 500)
+        tracemalloc.start()
+        try:
+            fit_block(block, consts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= block.nbytes + 1.5e6
+
+    def test_each_batch_starts_from_latest_swh_positive_fit(self, consts, monkeypatch):
+        # 70 columns: the grid fits column 0, then three warm batches follow
+        block = track(consts, "constant", 70, 15, denoised=False)
         calls = record_fits(monkeypatch)
         fits = fit_block(block, consts)
-        assert [init for init, _ in calls] == [None, fits[0].params, fits[1].params]
-        assert [f.warm for f in fits] == [False, True, True]
+        bounds = [(1, 33), (33, 65), (65, 70)]
+        assert retrack.FIT_BATCH == 32 and len(warm_batches(calls)) == len(bounds)
+        assert fits[0] == ls_fit(block[:, 0], consts)
+        for (lo, hi), (ys, starts, _) in zip(bounds, warm_batches(calls)):
+            anchor = [f for f in fits[:lo] if f.params.swh > 0][-1]
+            assert np.array_equal(ys, block[:, lo:hi].T)
+            assert np.array_equal(starts, [triplet(anchor.params)] * (hi - lo))
+            for y, fit in zip(block.T[lo:hi], fits[lo:hi]):
+                if fit.warm:
+                    assert fit == dataclasses.replace(ls_fit(y, consts, init=anchor.params),
+                                                      warm=True)
+                else:
+                    assert fit == ls_fit(y, consts)
+        assert sum(f.warm for f in fits) >= 65
 
     def _swh0_block(self, consts):
         # speckled swh = 0 waveforms: the grid fits column 0 at swh > 0 and
@@ -222,17 +267,23 @@ class TestFitBlock:
         block, grid = self._swh0_block(consts)
         calls = record_fits(monkeypatch)
         fits = fit_block(block[:, :2], consts)
-        _, (init, warm), _ = calls
-        assert init == grid[0].params and warm.params.swh == 0 and warm.converged
-        assert cost(warm) <= WARM_COST_RATIO * cost(grid[0])  # only swh = 0 rejects it
+        (_, starts, (theta, warm_cost, _, converged, _)), = warm_batches(calls)
+        assert np.array_equal(starts, [triplet(grid[0].params)])
+        assert theta[0, 0] == 0 and converged[0]
+        assert warm_cost[0] <= WARM_COST_RATIO * cost(grid[0])  # only swh = 0 rejects it
         assert fits == grid[:2] and not fits[1].warm
 
-    def test_previous_fit_on_swh0_skips_warm_start(self, consts, monkeypatch):
+    def test_swh0_fit_is_never_an_anchor(self, consts, monkeypatch):
+        # one column per batch: column 0's grid fit is on swh = 0, so column 1
+        # runs the grid too; column 2's warm fit falls back to a grid fit on
+        # swh = 0, so column 3 starts from column 1's, the latest with swh > 0
         block, grid = self._swh0_block(consts)
+        monkeypatch.setattr(retrack, "FIT_BATCH", 1)
         calls = record_fits(monkeypatch)
-        fits = fit_block(block[:, [1, 0]], consts)
-        assert [init for init, _ in calls] == [None, None]
-        assert fits == [grid[1], grid[0]]
+        fits = fit_block(block[:, [1, 0, 1, 1]], consts)
+        starts = [starts for _, starts, _ in warm_batches(calls)]
+        assert np.array_equal(starts, [[triplet(grid[0].params)]] * 2)
+        assert fits == [grid[1], grid[0], grid[1], grid[1]]
 
     def test_diverged_warm_fit_runs_grid(self, consts, monkeypatch):
         # a negated jacobian at the warm start's epoch sends it uphill; a
@@ -250,8 +301,9 @@ class TestFitBlock:
         monkeypatch.setattr(retrack, "brown_jacobian", negated)
         calls = record_fits(monkeypatch)
         fits = fit_block(block, consts)
-        assert [init for init, _ in calls] == [None, grid[0].params, None]
-        assert isinstance(calls[1][1], DivergedError)
+        (_, starts, (_, _, _, _, diverged)), = warm_batches(calls)
+        assert np.array_equal(starts, [triplet(grid[0].params)])
+        assert diverged[0]
         assert fits == grid
 
     def test_costly_warm_fit_runs_grid(self, consts, monkeypatch):
@@ -261,17 +313,25 @@ class TestFitBlock:
         grid = [ls_fit(y0, consts), ls_fit(noisy, consts)]
         calls = record_fits(monkeypatch)
         fits = fit_block(np.column_stack([y0, noisy]), consts)
-        _, (_, warm), _ = calls
-        assert warm.converged and warm.params.swh > 0
-        assert cost(warm) > WARM_COST_RATIO * cost(grid[0])
+        (_, starts, (theta, warm_cost, _, converged, _)), = warm_batches(calls)
+        assert np.array_equal(starts, [triplet(grid[0].params)])
+        assert converged[0] and theta[0, 0] > 0
+        assert warm_cost[0] > WARM_COST_RATIO * cost(grid[0])
         assert fits == grid
 
     def test_unconverged_warm_fit_runs_grid(self, consts, monkeypatch):
         block = track(consts, "constant", 2, 18, denoised=False)
         grid = [ls_fit(y, consts) for y in block.T]
-        calls = record_fits(monkeypatch, lambda fit: dataclasses.replace(fit, converged=False))
+
+        def unconverged(out):
+            theta, warm_cost, iterations, converged, diverged = out
+            assert converged[0]
+            return theta, warm_cost, iterations, np.zeros_like(converged), diverged
+
+        calls = record_fits(monkeypatch, unconverged)
         fits = fit_block(block, consts)
-        assert [init for init, _ in calls] == [None, grid[0].params, None]
+        (_, starts, _), = warm_batches(calls)
+        assert np.array_equal(starts, [triplet(grid[0].params)])
         assert fits == grid
 
 
