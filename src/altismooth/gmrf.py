@@ -16,6 +16,9 @@ or two adjacent auxiliaries, and denom_i is 4*coupling + M + 2 for interior
 gates.  The last gate has a single auxiliary neighbour and the smaller
 denominator 2*coupling + M + 2; the head auxiliary's mode is
 (2*coupling - 1) * variances[0] / coupling.
+
+Every function broadcasts over leading axes, so the solver runs its noise
+and energy chains, which share no node, as one stacked 2 x K chain.
 """
 
 from __future__ import annotations
@@ -29,38 +32,40 @@ VARIANCE_FLOOR = 1e-20
 
 @dataclass
 class VarianceChain:
-    """K positive variances with K positive auxiliary couplers and a coupling > 1."""
+    """K positive variances with K positive auxiliary couplers and a coupling > 1.
+
+    A stacked chain has (..., K) arrays and a scalar or (...,) coupling;
+    iterating an (n, K) stack yields its n member chains, as views.
+    """
 
     variances: np.ndarray
     aux: np.ndarray
-    coupling: float
+    coupling: float | np.ndarray
 
     def __post_init__(self):
         self.variances = np.asarray(self.variances, dtype=float)
         self.aux = np.asarray(self.aux, dtype=float)
-        if self.variances.ndim != 1 or self.variances.shape != self.aux.shape:
-            raise ValueError("variances and aux must be 1-D arrays of equal length")
-        if not self.coupling > 1:
+        if self.variances.ndim == 0 or self.variances.shape != self.aux.shape:
+            raise ValueError("variances and aux must be arrays of equal shape")
+        coupling = np.asarray(self.coupling, dtype=float)
+        if coupling.ndim and coupling.shape != self.variances.shape[:-1]:
+            raise ValueError("coupling must be a scalar or one per stacked chain")
+        if not coupling.min() > 1:
             raise ValueError("coupling must be > 1")
-        if np.any(self.variances <= 0) or np.any(self.aux <= 0):
+        if not (self.variances.min() > 0 and self.aux.min() > 0):
             raise ValueError("variances and aux must stay positive")
 
-    @property
-    def num_gates(self) -> int:
-        return self.variances.shape[0]
+    def __iter__(self):
+        couplings = np.full(len(self.variances), self.coupling).tolist()
+        for v, a, c in zip(self.variances, self.aux, couplings):
+            yield VarianceChain(v, a, c)
 
 
 def _neighbor_aux(aux: np.ndarray) -> np.ndarray:
     # Gate i couples aux[i] and aux[i+1]; the last gate only aux[K-1].
     out = aux.copy()
-    out[:-1] += aux[1:]
+    out[..., :-1] += aux[..., 1:]
     return out
-
-
-def _denominators(coupling: float, num_gates: int, num_signals: int) -> np.ndarray:
-    den = np.full(num_gates, 4.0 * coupling + num_signals + 2.0)
-    den[-1] = 2.0 * coupling + num_signals + 2.0
-    return den
 
 
 def variance_sweep(
@@ -70,44 +75,42 @@ def variance_sweep(
 
     Floored at VARIANCE_FLOOR so the chain stays strictly positive.
     """
-    beta = stats + 2.0 * chain.coupling * _neighbor_aux(chain.aux)
-    den = _denominators(chain.coupling, chain.num_gates, num_signals)
-    return np.maximum(beta / den, VARIANCE_FLOOR)
+    two_c = 2.0 * np.asarray(chain.coupling, dtype=float)[..., None]
+    beta = stats + two_c * _neighbor_aux(chain.aux)
+    last_den = two_c + (num_signals + 2.0)
+    modes = beta / (two_c + last_den)
+    modes[..., -1:] = beta[..., -1:] / last_den
+    return np.maximum(modes, VARIANCE_FLOOR, out=modes)
 
 
 def aux_sweep(chain: VarianceChain) -> np.ndarray:
     """Conditional modes of all auxiliaries given the variances."""
-    c = chain.coupling
-    v = chain.variances
-    out = np.empty_like(chain.aux)
-    out[0] = (2.0 * c - 1.0) * v[0] / c
-    if v.shape[0] > 1:
-        inv = 1.0 / v
-        out[1:] = (2.0 * c - 1.0) / (c * (inv[:-1] + inv[1:]))
-    return out
+    c = np.asarray(chain.coupling, dtype=float)[..., None]
+    # aux[j] couples variances[j-1] and variances[j]; the head aux[0] only variances[0]
+    inv = 1.0 / chain.variances
+    neighbors = inv.copy()
+    neighbors[..., 1:] += inv[..., :-1]
+    return (2.0 * c - 1.0) / (c * neighbors)
 
 
 def chain_cost_terms(
     chain: VarianceChain, stats: np.ndarray, num_signals: int
 ) -> float:
-    """This chain's contribution to the negative log posterior.
+    """This chain's (or stacked chains' summed) share of the negative log posterior.
 
     Sum over gates of shape_i*log(variances[i]) + beta_i/(2*variances[i])
-    minus (2*coupling-1) * sum(log(aux)), with the boundary gate carrying the
-    reduced shape coupling + M/2 + 1.
+    minus (2*coupling-1) * sum(log(aux)), with shape_i = 2*coupling + M/2 + 1
+    and the boundary gate carrying the reduced shape coupling + M/2 + 1.
     """
-    c = chain.coupling
-    v = chain.variances
-    if np.any(v <= 0) or np.any(chain.aux <= 0):
+    two_c = 2.0 * np.asarray(chain.coupling, dtype=float)[..., None]
+    v, aux = chain.variances, chain.aux
+    if not (v.min() > 0 and aux.min() > 0):
         raise ValueError("cost requires strictly positive variances and aux")
-    beta = stats + 2.0 * c * _neighbor_aux(chain.aux)
-    shape = np.full(chain.num_gates, 2.0 * c + num_signals / 2.0 + 1.0)
-    shape[-1] = c + num_signals / 2.0 + 1.0
-    value = float(
-        np.sum(shape * np.log(v) + beta / (2.0 * v))
-        - (2.0 * c - 1.0) * np.sum(np.log(chain.aux))
-    )
-    return value
+    log_v = np.log(v)
+    terms = (two_c + (num_signals / 2.0 + 1.0)) * log_v
+    terms += (stats + two_c * _neighbor_aux(aux)) / (2.0 * v)
+    terms[..., -1:] -= 0.5 * two_c * log_v[..., -1:]
+    return float(terms.sum() - ((two_c - 1.0) * np.log(aux)).sum())
 
 
 def initial_chain(

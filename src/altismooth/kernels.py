@@ -72,28 +72,54 @@ def build_correlation(
     if lengthscale <= 0 or jitter < 0:
         raise ValueError("need lengthscale > 0 and jitter >= 0")
     idx = np.arange(num_signals, dtype=float)
-    lag = idx[:, None] - idx[None, :]
-    values = np.exp(-((lag / lengthscale) ** 2))
-    values[np.diag_indices(num_signals)] += jitter
+    values = scipy.linalg.toeplitz(np.exp(-((idx / lengthscale) ** 2)))
+    values.flat[:: num_signals + 1] += jitter
     return CorrelationMatrix(values=values, lengthscale=lengthscale, jitter=jitter)
 
 
 def decompose(corr: CorrelationMatrix) -> CovarianceBasis:
     """Eigendecompose the inverse correlation matrix.
 
+    C is symmetric Toeplitz, hence centrosymmetric (J C J = C, J the
+    reversal), so its eigenproblem splits exactly into two of half size
+    (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  With h = M // 2,
+    C11 = C[:h, :h] and C12 J = C[:h, ::-1][:, :h], the symmetric modes
+    [x; Jx] / sqrt(2) come from C11 + C12 J (for odd M bordered by the
+    middle row, scaled by sqrt(2), which gives their middle entry) and the
+    antisymmetric modes [x; -Jx] / sqrt(2) from C11 - C12 J.  Both fill one
+    M x M basis in ascending kernel order.
+
     Kernel eigenvalues below jitter/10 are floored there before
     reciprocation; those directions are already jitter-dominated and the
     floor only prevents overflow of their precision values.
     """
-    eigvals, vectors = scipy.linalg.eigh(corr.values)
-    if eigvals[0] <= 0:
+    size = corr.size
+    half, odd = divmod(size, 2)
+    upper = corr.values[: half + odd]
+    flipped = upper[:half, ::-1][:, :half]
+    sym = upper[:, : half + odd].copy()  # eigh reads its lower triangle
+    sym[:half, :half] += flipped
+    sym[half:, :half] *= np.sqrt(2.0)
+    sym_vals, sym_vecs = scipy.linalg.eigh(sym, overwrite_a=True)
+    del sym  # freed before the second solve
+    anti_vals, anti_vecs = scipy.linalg.eigh(upper[:half, :half] - flipped, overwrite_a=True)
+    eigvals = np.concatenate([sym_vals, anti_vals])
+    if eigvals.min() <= 0:
         raise NotPositiveDefiniteError(
-            f"eigendecomposition found non-positive eigenvalue {eigvals[0]}"
+            f"eigendecomposition found non-positive eigenvalue {eigvals.min()}"
         )
+    order = np.argsort(eigvals, kind="stable")
+    rank = np.argsort(order)  # column of each eigenpair in ascending order
+    vectors = np.zeros((size, size))  # zero: the antisymmetric middle entries
+    for vecs, cols, sign in ((sym_vecs, rank[: half + odd], 1.0),
+                             (anti_vecs, rank[half + odd :], -1.0)):
+        vecs[:half] *= np.sqrt(0.5)
+        vectors[: len(vecs), cols] = vecs
+        vecs *= sign
+        vectors[size - half :, cols] = vecs[:half][::-1]
+    eigvals = eigvals[order]  # ascending, so the precision eigenvalues descend
     if corr.jitter > 0:
         eigvals = np.maximum(eigvals, corr.jitter / 10.0)
-    # eigh returns ascending kernel eigenvalues, so the precision eigenvalues
-    # come out descending with matching columns; no reordering needed.
     return CovarianceBasis(vectors=vectors, precision_eigvals=1.0 / eigvals)
 
 
@@ -111,12 +137,3 @@ def shrinkage_filter(
     return energy_var[:, None] / (
         basis.precision_eigvals[None, :] * noise_var[:, None] + energy_var[:, None]
     )
-
-
-def prior_energy(coeffs: np.ndarray, basis: CovarianceBasis) -> np.ndarray:
-    """Per-row energy under the inverse correlation, s^T C^-1 s.
-
-    ``coeffs`` holds one row's basis coefficients (s @ basis.vectors) per
-    row; the result is clipped at 0 against round-off.
-    """
-    return np.maximum((coeffs**2 * basis.precision_eigvals).sum(axis=1), 0.0)

@@ -116,9 +116,11 @@ def _lm_fit(y, consts, starts):
     test.  A round takes one jacobian for every active start; the starts
     then try damped steps until each has accepted one.  A rejected start
     stays pending and retries with its damping grown by LAMBDA_GROW; after
-    MAX_REJECTS rejections in one round it diverges.  One model call serves every trial
-    of a pass.  Returns per start the parameters, cost, iterations and the
-    converged and diverged flags.
+    MAX_REJECTS rejections in one round it diverges, unless a rejected step
+    passes the STEP_TOL test: the start is then at its minimum, where
+    rounding can make every step uphill, and has converged.  One model call
+    serves every trial of a pass.  Returns per start the parameters, cost,
+    iterations and the converged and diverged flags.
     """
     theta = np.maximum(np.array(starts, dtype=float), _LOWER)
     n = len(theta)
@@ -153,16 +155,17 @@ def _lm_fit(y, consts, starts):
             trial_resid = _residuals(y[tried], trial, consts)
             trial_cost = _rowdot(trial_resid, trial_resid)
             better = trial_cost <= cost[tried]
-            won, steps = tried[better], steps[better]
+            won = tried[better]
             theta[won], resid[won] = trial[better], trial_resid[better]
             cost[won] = trial_cost[better]
             lam[won] = np.maximum(lam[won] / LAMBDA_SHRINK, 1e-12)
             step_norm = np.sqrt(_rowdot(steps, steps))
-            theta_norm = np.sqrt(_rowdot(theta[won], theta[won]))
-            converged[won[step_norm <= STEP_TOL * (theta_norm + STEP_TOL)]] = True
+            theta_norm = np.sqrt(_rowdot(theta[tried], theta[tried]))
+            short = step_norm <= STEP_TOL * (theta_norm + STEP_TOL)
+            converged[tried[short]] = True
 
             rejected = ~solved
-            rejected[solved] = ~better
+            rejected[solved] = ~(better | short)
             pending = pending[rejected]
             lam[rows[pending]] *= LAMBDA_GROW
             if not pending.size:

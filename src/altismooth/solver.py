@@ -12,16 +12,20 @@ The sweep runs on the basis coefficients of only the r modes whose kernel
 eigenvalue is >= MODE_CUTOFF times the largest.  The cutoff is the kernel's
 jitter: the dropped modes sit at it, where the shrinkage filter is ~0, and
 the prior pins them to zero (exact MAP under that prior, so the cost never
-rises).  With V_r the kept M x r eigenvectors and C = Y V_r computed once,
-the rows' modes have coefficients F * C (F the per-gate diagonal shrinkage),
-each gate's residual power is sum(((1 - F) * C)**2) plus the tail energy
-|y_k|^2 - |c_k|^2 of its dropped modes, and its prior energy sum(p * (F * C)**2)
-over the kept precision eigenvalues p.  (F * C) V_r^T is formed once, at the end.
+rises).  With V_r the kept M x r eigenvectors, C = Y V_r, C**2, p * C**2
+(p the kept precision eigenvalues) and the row energies |y_k|^2, which
+double as the finiteness check, are computed once per block.  The rows'
+modes have coefficients F * C (F the per-gate diagonal shrinkage), so each
+sweep gets both statistics from F and one weighted reduction: a gate's
+residual power sum((1 - F)**2 * C**2) plus the tail energy |y_k|^2 - |c_k|^2
+of its dropped modes, and its prior energy sum(F**2 * p * C**2).
+(F * C) V_r^T is formed once, at the end.
 
-Sweep order per iteration: rows s_k (all gates), noise variances, noise
-auxiliaries, energy variances, energy auxiliaries.  The cost is evaluated
-once per full sweep and the loop stops when its relative change falls below
-``xi`` or after ``t_max`` sweeps.
+Sweep order per iteration: rows s_k (all gates), then the variances and
+then the auxiliaries of the noise and energy chains, which share no node and
+run stacked as one 2 x K chain (couplings zeta, eta), one ``gmrf`` call per
+update.  The cost is evaluated once per full sweep and the loop stops when
+its relative change falls below ``xi`` or after ``t_max`` sweeps.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .kernels import (
     CovarianceBasis,
     build_correlation,
     decompose,
-    prior_energy,
     shrinkage_filter,
 )
 
@@ -83,18 +86,10 @@ class SolverState:
     modes: int = 0  # eigenmodes kept, r
 
 
-def cost_from_stats(
-    resid: np.ndarray,
-    quads: np.ndarray,
-    noise: VarianceChain,
-    energy: VarianceChain,
-    num_signals: int,
-) -> float:
-    """Negative log posterior (constants dropped) from per-gate statistics."""
+def _cost(chain: VarianceChain, stats: np.ndarray, num_signals: int) -> float:
+    """Negative log posterior (constants dropped) of a chain, stacked or not."""
     try:
-        value = gmrf.chain_cost_terms(noise, resid, num_signals) + gmrf.chain_cost_terms(
-            energy, quads, num_signals
-        )
+        value = gmrf.chain_cost_terms(chain, stats, num_signals)
     except ValueError as exc:
         raise NonFiniteError(str(exc)) from exc
     if not np.isfinite(value):
@@ -102,31 +97,29 @@ def cost_from_stats(
     return value
 
 
-def _initial_state(block: np.ndarray, config: SolverConfig) -> tuple:
-    noise = gmrf.initial_chain(block.mean(axis=1), config.zeta, AUX_INIT)
-    energy = gmrf.initial_chain(
-        np.full(block.shape[0], ENERGY_VAR_INIT), config.eta, AUX_INIT
-    )
-    return noise, energy
+def _initial_state(block: np.ndarray, config: SolverConfig) -> VarianceChain:
+    """The noise (row 0) and energy (row 1) chains, stacked as one 2 x K chain."""
+    start = np.full((2, block.shape[0]), ENERGY_VAR_INIT)
+    start[0] = block.mean(axis=1)
+    return gmrf.initial_chain(start, np.array([config.zeta, config.eta]), AUX_INIT)
 
 
-def _sweep(coeffs, tail, kept, num_signals, noise, energy):
-    """One full coordinate sweep on the kept modes' coefficients.
+def _sweep(weighted, tail, kept, num_signals, chain):
+    """One full coordinate sweep on the kept modes' squared coefficients.
 
-    ``tail`` is each row's energy in the dropped modes, all of it residual;
-    the chains count all ``num_signals`` = M signals, not the r kept modes.
-    Mutates the chains; returns the rows' coefficients and the cost.
+    ``weighted`` stacks each row's squared coefficients c**2 and p * c**2;
+    ``tail`` is each row's energy in the dropped modes, all of it residual.
+    The chains count all ``num_signals`` = M signals, not the r kept modes.
+    Mutates the stacked chain; returns the sweep's filter and the cost.
     """
-    filt = shrinkage_filter(noise.variances, energy.variances, kept)
-    spectral = filt * coeffs
-    resid = (((1.0 - filt) * coeffs) ** 2).sum(axis=1) + tail
-    quads = prior_energy(spectral, kept)
-
-    noise.variances = gmrf.variance_sweep(noise, resid, num_signals)
-    noise.aux = gmrf.aux_sweep(noise)
-    energy.variances = gmrf.variance_sweep(energy, quads, num_signals)
-    energy.aux = gmrf.aux_sweep(energy)
-    return spectral, cost_from_stats(resid, quads, noise, energy, num_signals)
+    filt = shrinkage_filter(chain.variances[0], chain.variances[1], kept)
+    factors = np.concatenate((1.0 - filt, filt)).reshape(weighted.shape)
+    factors *= factors
+    stats = np.vecdot(factors, weighted)  # residual power, prior energy
+    stats[0] += tail
+    chain.variances = gmrf.variance_sweep(chain, stats, num_signals)
+    chain.aux = gmrf.aux_sweep(chain)
+    return filt, _cost(chain, stats, num_signals)
 
 
 def denoise(
@@ -143,8 +136,9 @@ def denoise(
     block = np.asarray(block, dtype=float)
     if block.ndim != 2 or block.size == 0:
         raise ShapeMismatchError(f"expected a non-empty K x M block, got {block.shape}")
-    if not np.all(np.isfinite(block)):
-        raise NonFiniteError("input block contains non-finite values")
+    row_energy = np.vecdot(block, block)
+    if not np.all(np.isfinite(row_energy)):
+        raise NonFiniteError("input block has non-finite values or row energies")
     num_signals = block.shape[1]
     if basis is None:
         basis = decompose(build_correlation(num_signals, config.lengthscale))
@@ -153,26 +147,28 @@ def denoise(
             f"basis size {basis.size} does not match block width {num_signals}"
         )
 
-    noise, energy = _initial_state(block, config)
+    chain = _initial_state(block, config)
     prec = basis.precision_eigvals  # descending, so the kept modes trail
     first = num_signals - int(np.count_nonzero(prec * MODE_CUTOFF <= prec[-1]))
     kept = CovarianceBasis(basis.vectors[:, first:], prec[first:])
     coeffs = block @ kept.vectors  # row k holds the kept coefficients of y_k
-    tail = np.maximum((block**2).sum(axis=1) - (coeffs**2).sum(axis=1), 0.0)
+    weighted = np.empty((2,) + coeffs.shape)  # c**2 and p * c**2, for _sweep
+    np.square(coeffs, out=weighted[0])
+    np.multiply(weighted[0], kept.precision_eigvals, out=weighted[1])
+    tail = np.maximum(row_energy - weighted[0].sum(axis=1), 0.0)
 
     trace: list[float] = []
     stop_reason = "max-iterations"
     for _ in range(config.t_max):
-        spectral, value = _sweep(coeffs, tail, kept, num_signals, noise, energy)
+        filt, value = _sweep(weighted, tail, kept, num_signals, chain)
         trace.append(value)
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= config.xi * abs(trace[-2]):
             stop_reason = "converged"
             break
 
     return SolverState(
-        denoised=spectral @ kept.vectors.T,
-        noise=noise,
-        energy=energy,
+        (filt * coeffs) @ kept.vectors.T,
+        *chain,  # its noise and energy chains
         cost_trace=trace,
         iterations=len(trace),
         stop_reason=stop_reason,

@@ -13,8 +13,7 @@ import numpy as np
 from altismooth import retrack
 from altismooth.brown import BrownParams, brown_jacobian, brown_waveform
 from altismooth.errors import DivergedError
-from altismooth.kernels import prior_energy
-from altismooth.solver import cost_from_stats
+from altismooth.solver import _cost
 
 
 def mp_sigma_c_sq(swh, sigma_p, c, dps: int = 50):
@@ -41,6 +40,15 @@ def mp_waveform(swh, tau_m, pu, consts, dps: int = 50) -> np.ndarray:
         [mp_waveform_sample(swh, tau_m, pu, consts, k, dps)
          for k in range(1, consts.num_gates + 1)]
     )
+
+
+def dense_correlation(num_signals, lengthscale, jitter) -> np.ndarray:
+    """The SE correlation matrix from the full M x M lag matrix."""
+    idx = np.arange(num_signals, dtype=float)
+    lag = idx[:, None] - idx[None, :]
+    values = np.exp(-((lag / lengthscale) ** 2))
+    values[np.diag_indices(num_signals)] += jitter
+    return values
 
 
 def naive_chain_cost(variances, aux, coupling, stats, num_signals) -> float:
@@ -93,12 +101,27 @@ def naive_cost(noise_v, noise_a, zeta, resid, energy_v, energy_a, eta, quads,
         naive_chain_cost(energy_v, energy_a, eta, quads, num_signals)
 
 
+def prior_energy(coeffs, basis) -> np.ndarray:
+    """Per-row energy under the inverse correlation, s^T C^-1 s.
+
+    ``coeffs`` holds one row's basis coefficients (s @ basis.vectors) per
+    row; the result is clipped at 0 against round-off.
+    """
+    return np.maximum((coeffs**2 * basis.precision_eigvals).sum(axis=1), 0.0)
+
+
+def cost_from_stats(resid, quads, noise, energy, num_signals) -> float:
+    """The solver's cost of separate noise and energy chains, as a
+    SolverState holds them, from per-gate statistics."""
+    return _cost(noise, resid, num_signals) + _cost(energy, quads, num_signals)
+
+
 def cost(state, block, basis) -> float:
     """The solver's cost of an arbitrary state against a block.
 
     The statistics come from the dense residual and the full basis; the
     terms, and their rejection of a non-positive state, are the solver's own
-    ``cost_from_stats``.
+    ``_cost``.
     """
     block = np.asarray(block, dtype=float)
     resid = ((block - state.denoised) ** 2).sum(axis=1)
@@ -169,7 +192,8 @@ def naive_lm_fit(y, consts, theta0):
 
     The scalar form of the batched core behind ``retrack.ls_fit``.  Returns
     (theta, cost, iterations, converged); raises DivergedError after
-    MAX_REJECTS consecutive rejected steps.
+    MAX_REJECTS consecutive rejected steps, unless a rejected step already
+    passes the STEP_TOL test (converged at the current theta).
     """
     def project(theta):
         out = theta.copy()
@@ -205,6 +229,9 @@ def naive_lm_fit(y, consts, theta0):
                     theta, resid, cost = trial, trial_resid, trial_cost
                     lam = max(lam / retrack.LAMBDA_SHRINK, 1e-12)
                     break
+                if np.linalg.norm(step) <= retrack.STEP_TOL * (np.linalg.norm(theta)
+                                                              + retrack.STEP_TOL):
+                    return theta, cost, iteration, True  # already at its minimum
             rejects += 1
             lam *= retrack.LAMBDA_GROW
             if rejects >= retrack.MAX_REJECTS:

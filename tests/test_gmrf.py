@@ -66,6 +66,26 @@ class TestArithmetic:
             np.testing.assert_allclose(aux_sweep(chain), want_aux,
                                        rtol=1e-14, atol=0)
 
+    def test_stacked_chains_match_their_members(self):
+        # one call on two stacked chains with different couplings equals a
+        # call per member chain
+        rng = np.random.default_rng(1)
+        members = [random_chain(rng, 9, 2.5), random_chain(rng, 9, 4.0)]
+        stats = rng.uniform(0.0, 50.0, (2, 9))
+        stacked = VarianceChain(np.stack([m.variances for m in members]),
+                                np.stack([m.aux for m in members]), np.array([2.5, 4.0]))
+        got_var = variance_sweep(stacked, stats, 37)
+        got_aux = aux_sweep(stacked)
+        for k, member in enumerate(members):
+            np.testing.assert_array_equal(got_var[k], variance_sweep(member, stats[k], 37))
+            np.testing.assert_array_equal(got_aux[k], aux_sweep(member))
+        want_cost = sum(chain_cost_terms(m, s, 37) for m, s in zip(members, stats))
+        assert chain_cost_terms(stacked, stats, 37) == pytest.approx(want_cost, rel=1e-14)
+        for got, member in zip(stacked, members):
+            assert got.coupling == member.coupling
+            np.testing.assert_array_equal(got.variances, member.variances)
+            np.testing.assert_array_equal(got.aux, member.aux)
+
 
 class TestMinimizerOracle:
     """Each closed-form update must minimise the cost along its coordinate."""

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import altismooth as alt
-from altismooth import BrownParams, brown_waveform, retrack
+from altismooth import BrownParams, bench, brown_waveform, retrack
 from altismooth.errors import DivergedError
 from altismooth.retrack import TAU_GRID_FRACTIONS, ls_fit
 
@@ -165,3 +165,20 @@ def test_all_starts_diverging_raises(consts, monkeypatch):
     monkeypatch.setattr(retrack, "brown_jacobian", lambda params, c: -real(params, c))
     with pytest.raises(DivergedError, match="all fit starts diverged"):
         ls_fit(y, consts)
+
+
+def test_restart_at_its_own_optimum_converges(consts):
+    # from a fit's own optimum, rounding can make every damped step uphill;
+    # steps that short mean the start is at its minimum, so it converges
+    # there, in the core and in the scalar loop alike
+    _, _, noisy = bench._sweep_block(8.0, 20, 90.0, 3, 0, consts)
+    for y in noisy.T:
+        fit = ls_fit(y, consts)
+        start = [fit.params.swh, fit.params.tau, fit.params.pu]
+        theta, cost, _, converged, diverged = retrack._lm_fit(y, consts, [start])
+        assert converged[0] and not diverged[0]
+        assert cost[0] <= fit.residual_norm**2 * (1 + 1e-12)
+        want, want_cost, _, want_converged = oracles.naive_lm_fit(y, consts, start)
+        assert want_converged
+        assert np.all(np.abs(theta[0] - want) <= 1e-12 * np.abs(want))
+        assert abs(cost[0] - want_cost) <= 1e-12 * want_cost

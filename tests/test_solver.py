@@ -1,4 +1,4 @@
-import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,19 +11,18 @@ from altismooth.kernels import (
     CovarianceBasis,
     build_correlation,
     decompose,
-    prior_energy,
 )
 from altismooth.solver import (
     SolverState,
     _initial_state,
     _sweep,
     chunk_slices,
-    cost_from_stats,
     denoise,
     denoise_stream,
 )
 
 import oracles
+from oracles import cost_from_stats, prior_energy
 
 
 def brown_block(consts, num_signals, seed, looks=90.0):
@@ -130,14 +129,17 @@ class TestDenoise:
         basis = decompose(build_correlation(120, config.lengthscale))
         state = denoise(noisy, config, basis)
         assert state.stop_reason == "converged"
-        noise = copy.deepcopy(state.noise)
-        energy = copy.deepcopy(state.energy)
+        chain = VarianceChain(np.stack([state.noise.variances, state.energy.variances]),
+                              np.stack([state.noise.aux, state.energy.aux]),
+                              np.array([config.zeta, config.eta]))
         r = state.modes
         kept = CovarianceBasis(basis.vectors[:, -r:], basis.precision_eigvals[-r:])
         coeffs = noisy @ kept.vectors
         tail = (noisy**2).sum(axis=1) - (coeffs**2).sum(axis=1)
-        spectral, _ = _sweep(coeffs, tail, kept, 120, noise, energy)
-        denoised = spectral @ kept.vectors.T
+        weighted = np.stack([coeffs**2, coeffs**2 * kept.precision_eigvals])
+        filt, _ = _sweep(weighted, tail, kept, 120, chain)
+        denoised = (filt * coeffs) @ kept.vectors.T
+        noise, energy = chain
 
         def rel(a, b):
             return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-30)
@@ -209,12 +211,22 @@ class TestDenoise:
                             lambda chain, s, m: stats.append(s) or sweep(chain, s, m))
         state = denoise(noisy)
         assert state.modes < 500
-        resid, quads = stats[-2:]
+        resid, quads = stats[-1]  # one call updates the stacked noise and energy chains
         np.testing.assert_allclose(resid, ((noisy - state.denoised) ** 2).sum(axis=1),
                                    rtol=1e-10)
         basis = decompose(build_correlation(500))
         np.testing.assert_allclose(quads, prior_energy(state.denoised @ basis.vectors, basis),
                                    rtol=1e-10)
+
+    @pytest.mark.parametrize("scale", [1e-6, 5.0, 1e6])
+    def test_scaled_input_stays_finite(self, consts, scale):
+        # squared coefficients and stacked statistics must not overflow or
+        # raise at any amplitude; the output's scale is another matter
+        # (the initial state is not scale-equivariant)
+        _, noisy = brown_block(consts, 200, seed=17)
+        state = denoise(scale * noisy)
+        assert np.all(np.isfinite(state.denoised))
+        assert np.isfinite(state.cost_trace).all()
 
     def test_input_validation(self):
         with pytest.raises(ShapeMismatchError):
@@ -254,6 +266,19 @@ class TestStream:
         backward = denoise_stream(noisy[:, ::-1], 500)[:, ::-1]
         rel = np.linalg.norm(backward - forward) / np.linalg.norm(forward)
         assert rel <= 1e-12
+
+    def test_peak_memory(self, consts):
+        # assembling the basis in place from the two half-size eigensolves
+        # keeps the peak under the 1.026 MB that one full-size eigh needs here
+        _, noisy = brown_block(consts, 200, seed=18)
+        denoise_stream(noisy, 500)
+        tracemalloc.start()
+        try:
+            denoise_stream(noisy, 500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.026e6
 
     def test_with_states_returns_traces(self, consts):
         _, noisy = brown_block(consts, 50, seed=14)
