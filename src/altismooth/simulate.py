@@ -6,12 +6,17 @@ standard L-look intensity model.  Averaging L looks is what lets the
 downstream solver treat the noise as approximately Gaussian.
 
 Randomness is reproducible across platforms and across serial/parallel
-generation: every column m draws from its own PCG64 generator seeded by
-SeedSequence(seed).spawn, so column streams depend only on (seed, m).
+generation: column m draws from PCG64(SeedSequence(seed, spawn_key=(m,))),
+so column streams depend only on (seed, m).  Building those objects per
+column costs five times the column's draws, so `_column_streams` derives
+all columns' PCG64 states from SeedSequence's hash in one vectorised pass;
+test_simulate pins it byte for byte to numpy's own seeding, so a change in
+numpy's algorithm fails there.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +36,10 @@ DEFAULT_STEP_CAP_FRAC = 0.25
 class NoiseSpec:
     """How to corrupt a clean block.
 
-    looks       multilook averaging factor L (>= 1)
-    seed        RNG seed
+    looks       multilook averaging factor L (finite, >= 1)
+    seed        RNG seed (non-negative integer)
     mode        'multiplicative-speckle' or 'additive-gaussian'
-    noise_var   per-gate variance (scalar or length-K) for the additive mode
+    noise_var   per-gate variance (scalar or length-K, finite, >= 0) for the additive mode
     """
 
     looks: float = 90.0
@@ -43,12 +48,17 @@ class NoiseSpec:
     noise_var: float | np.ndarray | None = None
 
     def __post_init__(self):
-        if self.looks < 1:
-            raise ValueError("looks must be >= 1")
+        if not (np.isfinite(self.looks) and self.looks >= 1):
+            raise ValueError("looks must be finite and >= 1")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if self.mode not in NOISE_MODES:
             raise ValueError(f"mode must be one of {NOISE_MODES}")
         if self.mode == "additive-gaussian" and self.noise_var is None:
             raise ValueError("additive-gaussian mode needs an explicit noise_var")
+        var = np.asarray(0.0 if self.noise_var is None else self.noise_var, dtype=float)
+        if not (np.all(np.isfinite(var)) and np.all(var >= 0)):
+            raise ValueError("noise_var must be finite and >= 0")
 
 
 class ParamTrajectory:
@@ -63,6 +73,8 @@ class ParamTrajectory:
             raise ValueError("swh, tau, pu must have equal lengths")
         if self.swh.ndim != 1 or self.swh.size < 1:
             raise ValueError("trajectory must be a non-empty 1-D sequence")
+        if not np.isfinite([self.swh, self.tau, self.pu]).all():
+            raise BadRangeError("swh, tau and pu must be finite")
         if np.any(self.swh < 0) or np.any(self.pu < 0):
             raise BadRangeError("swh and pu must be non-negative")
 
@@ -81,8 +93,54 @@ class ParamTrajectory:
         )
 
 
-def _column_rng(seed: int, column: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(column,)))
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_MASK32, _MASK128, _POOL_SIZE = (1 << 32) - 1, (1 << 128) - 1, 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's running hash; works on ints and uint64 arrays alike."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _column_streams(seed: int, num_columns: int):
+    """Yield column m's generator, PCG64(SeedSequence(seed, spawn_key=(m,))), for
+    each m: one generator re-seeded in place, so draw before advancing."""
+    seed = int(seed)  # as uint32 words, zero-padded to the pool size since spawn_key is set
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 32 * _POOL_SIZE), 32)]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for src, dst in itertools.permutations(range(_POOL_SIZE), 2):
+        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    # Seed words past the pool, then the spawn word m, after the cross-mix.
+    for word in [*words[_POOL_SIZE:], np.arange(num_columns, dtype=np.uint64)]:
+        pool = [_mix(p, hashmix(word)) for p in pool]
+    # generate_state(4, uint64): eight uint32 words, paired little-endian.
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = [hashmix(pool[i % _POOL_SIZE]) for i in range(8)]
+    halves = [(state[i] | state[i + 1] << 32).tolist() for i in range(0, 8, 2)]
+    rng = np.random.Generator(np.random.PCG64(0))
+    for s_hi, s_lo, i_hi, i_lo in zip(*halves):
+        # pcg64_set_seed: inc = 2·initseq + 1, two LCG steps around adding initstate.
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        lcg = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                                   "uinteger": 0, "state": {"state": lcg, "inc": inc}}
+        yield rng
 
 
 def _smooth_series(rng: np.random.Generator, length: int, lo: float, hi: float):
@@ -198,18 +256,16 @@ def corrupt(clean: np.ndarray, spec: NoiseSpec) -> np.ndarray:
         raise ValueError("clean block must be finite")
     num_gates, num_signals = clean.shape
     noisy = np.empty_like(clean)
+    streams = enumerate(_column_streams(spec.seed, num_signals))
     if spec.mode == "multiplicative-speckle":
-        for m in range(num_signals):
-            gain = _column_rng(spec.seed, m).gamma(
-                shape=spec.looks, scale=1.0 / spec.looks, size=num_gates
-            )
+        for m, rng in streams:
+            gain = rng.gamma(shape=spec.looks, scale=1.0 / spec.looks, size=num_gates)
             noisy[:, m] = clean[:, m] * gain
     else:
         std = np.sqrt(np.broadcast_to(np.asarray(spec.noise_var, dtype=float),
                                       (num_gates,)))
-        for m in range(num_signals):
-            noise = _column_rng(spec.seed, m).standard_normal(num_gates) * std
-            noisy[:, m] = clean[:, m] + noise
+        for m, rng in streams:
+            noisy[:, m] = clean[:, m] + rng.standard_normal(num_gates) * std
     return noisy
 
 

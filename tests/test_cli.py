@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,30 @@ class TestGenerate:
                    "--swh-range", "5,1", "--out-dir", tmp_path)
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ("--noise-var", "-1"), ("--noise-var", "nan"), ("--looks", "inf"), ("--looks", "nan"),
+        ("--noise-mode", "additive-gaussian", "--noise-var", "-1"),
+    ], ids=["var-negative", "var-nan", "looks-inf", "looks-nan", "additive-var-negative"])
+    def test_bad_noise_spec_exits_two(self, tmp_path, capsys, flags):
+        code = run("generate", "--traj", "constant", "--n", 5, *flags, "--out-dir", tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not list(tmp_path.glob("*.blk"))
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--swh", "nan"), ("--swh", "inf"), ("--pu", "nan"), ("--pu", "inf"),
+        ("--tau-m", "nan"), ("--tau-m", "inf"),
+    ])
+    def test_non_finite_trajectory_exits_two(self, tmp_path, capsys, flag, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("generate", "--traj", "constant", "--n", 5, flag, value,
+                       "--out-dir", tmp_path)
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.blk"))
 
 
 class TestDenoiseEstimateMetrics:

@@ -3,7 +3,11 @@ import pytest
 
 import altismooth as alt
 from altismooth import BadRangeError, DegenerateInputError, NoiseSpec
-from altismooth.simulate import corrupt, input_rsnr, make_trajectory
+from altismooth.simulate import (
+    NOISE_MODES, ParamTrajectory, corrupt, input_rsnr, make_trajectory,
+)
+
+from oracles import naive_corrupt
 
 
 class TestTrajectories:
@@ -68,6 +72,14 @@ class TestTrajectories:
                             consts=consts)
         with pytest.raises(ValueError):
             make_trajectory("nonsense", 10)
+
+    @pytest.mark.parametrize("field", ["swh", "tau", "pu"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_raise(self, field, bad):
+        values = {"swh": [2.0, 2.0], "tau": [14.0, 14.0], "pu": [130.0, 130.0]}
+        values[field][1] = bad
+        with pytest.raises(BadRangeError, match="finite"):
+            ParamTrajectory(**values)
 
     def test_file_round_trip(self, tmp_path):
         from altismooth.blockio import write_trajectory_csv
@@ -153,6 +165,41 @@ class TestSpeckle:
             NoiseSpec(looks=0.5)
         with pytest.raises(ValueError):
             NoiseSpec(mode="other")
+        for looks in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="looks"):
+                NoiseSpec(looks=looks)
+
+    @pytest.mark.parametrize("noise_var", [-1.0, np.nan, np.inf, [1.0, -0.5], [1.0, np.nan]])
+    @pytest.mark.parametrize("mode", NOISE_MODES)
+    def test_bad_noise_var_raises(self, noise_var, mode):
+        with pytest.raises(ValueError, match="noise_var"):
+            NoiseSpec(mode=mode, noise_var=noise_var)
+
+    @pytest.mark.parametrize("seed", [-1, 1.0, 2.5, "3", None, np.float64(4.0)])
+    def test_bad_seed_raises(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            NoiseSpec(seed=seed)
+
+    def test_numpy_integer_seed_matches_int(self):
+        clean = np.ones((8, 5))
+        a = corrupt(clean, NoiseSpec(seed=np.uint64(2**64 - 1)))
+        assert np.array_equal(a, corrupt(clean, NoiseSpec(seed=2**64 - 1)))
+
+
+class TestColumnSeeding:
+    """``corrupt`` derives every column's PCG64 state in one pass; it must be
+    byte-identical to building SeedSequence(seed, spawn_key=(m,)) per column."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 5])
+    @pytest.mark.parametrize("width", [1, 7, 300])
+    @pytest.mark.parametrize("spec_kwargs", [
+        dict(looks=90.0),
+        dict(looks=3.5, mode="additive-gaussian", noise_var=np.linspace(0.5, 4.0, 13)),
+    ], ids=["speckle", "additive"])
+    def test_matches_per_column_seed_sequence(self, seed, width, spec_kwargs):
+        clean = np.random.default_rng(width).uniform(0.5, 2.0, size=(13, width))
+        spec = NoiseSpec(seed=seed, **spec_kwargs)
+        assert corrupt(clean, spec).tobytes() == naive_corrupt(clean, spec).tobytes()
 
 
 class TestInputRsnr:
