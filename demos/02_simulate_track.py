@@ -13,9 +13,9 @@ from altismooth import (
     NoiseSpec,
     clean_block,
     corrupt,
-    input_rsnr,
     jason2_like,
     make_trajectory,
+    rsnr,
 )
 
 consts = jason2_like()
@@ -39,7 +39,7 @@ print(f"\nclean block: {clean.shape[0]} gates x {clean.shape[1]} signals")
 
 for looks in (30, 90, 1000):
     noisy = corrupt(clean, NoiseSpec(looks=looks, seed=42))
-    print(f"  L={looks:5d} looks -> input RSNR {input_rsnr(clean, noisy):6.2f} dB "
+    print(f"  L={looks:5d} looks -> input RSNR {rsnr(clean, noisy):6.2f} dB "
           f"(expected ~{10 * np.log10(looks):.2f})")
 
 # Per-column generator streams make the corruption reproducible and

@@ -18,7 +18,6 @@ from altismooth import (
     corrupt,
     denoise,
     denoise_stream,
-    input_rsnr,
     jason2_like,
     make_trajectory,
     rsnr,
@@ -31,7 +30,7 @@ traj = make_trajectory("smooth-random", 1500, swh_range=(3.4, 5.4),
 clean = clean_block(traj, consts)
 noisy = corrupt(clean, NoiseSpec(looks=90, seed=4))
 print(f"track: {noisy.shape[0]} x {noisy.shape[1]}, "
-      f"input RSNR {input_rsnr(clean, noisy):.2f} dB\n")
+      f"input RSNR {rsnr(clean, noisy):.2f} dB\n")
 
 # One 500-signal block, watching the cost trace.
 state = denoise(noisy[:, :500], SolverConfig())

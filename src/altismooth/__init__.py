@@ -49,7 +49,6 @@ from .simulate import (
     ParamTrajectory,
     clean_block,
     corrupt,
-    input_rsnr,
     make_trajectory,
 )
 from .solver import SolverConfig, SolverState, denoise, denoise_stream
@@ -83,7 +82,6 @@ __all__ = [
     "denoise_stream",
     "fit_block",
     "gates_to_meters",
-    "input_rsnr",
     "jason2_like",
     "load_constants",
     "ls_fit",

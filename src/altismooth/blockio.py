@@ -64,22 +64,10 @@ def read_block(path) -> np.ndarray:
     return data.reshape(num_gates, num_signals)
 
 
-def block_to_csv(path, block: np.ndarray) -> None:
-    """Inspection export: one row per gate, one column per signal."""
-    block = np.asarray(block, dtype=float)
-    lines = ["gate," + ",".join(f"signal_{m}" for m in range(block.shape[1]))]
-    for k in range(block.shape[0]):
-        lines.append(f"{k + 1}," + ",".join(repr(float(x)) for x in block[k]))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
-
-
 def write_trajectory_csv(path, traj) -> None:
-    lines = ["index,swh_m,tau_m,pu"]
-    for i in range(len(traj)):
-        lines.append(
-            f"{i},{float(traj.swh[i])!r},{float(traj.tau[i])!r},{float(traj.pu[i])!r}"
-        )
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    rows = ({"index": i, "swh_m": swh, "tau_m": tau, "pu": pu}
+            for i, (swh, tau, pu) in enumerate(zip(traj.swh, traj.tau, traj.pu)))
+    write_report_csv(path, ["index", "swh_m", "tau_m", "pu"], rows)
 
 
 def read_trajectory_csv(path):

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: generate, denoise, estimate, metrics, bench.  Every run writes
-a JSON manifest next to its outputs recording the resolved arguments and
+Subcommands: generate, denoise, estimate, metrics, bench.  Each command
+writes its outputs and returns a `Run` naming them; `main` then writes the
+run's JSON manifest next to them, recording the resolved arguments and
 seeds, so any output can be reproduced byte-for-byte by re-running the
-recorded argv.
+recorded argv.  Only a run that exits 0 writes a manifest.
 
 Exit codes: 0 ok, 2 bad arguments, 3 numerical failure, 4 I/O failure.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +24,24 @@ from .brown import BrownConstants, gates_to_meters, jason2_like, load_constants
 from .errors import AltismoothError, BadRangeError, NonFiniteError
 from .kernels import DEFAULT_LENGTHSCALE
 from .retrack import fit_block, svd_filter_stream
-from .simulate import NOISE_MODES, NoiseSpec, clean_block, corrupt, input_rsnr, make_trajectory
+from .simulate import NOISE_MODES, NoiseSpec, clean_block, corrupt, make_trajectory
 from .solver import SolverConfig, denoise_stream
 
 EXIT_OK = 0
 EXIT_BAD_ARGS = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+
+@dataclass
+class Run:
+    """What one subcommand wrote, for `main` to record in the run's manifest."""
+
+    outputs: dict[str, Path]
+    summary: list[str]  # stdout lines, printed after the manifest is written
+    manifest: Path | None = None  # None: <--output>.manifest.json
+    seeds: dict[str, int] = field(default_factory=dict)  # beyond the master seed
+    args: dict = field(default_factory=dict)  # manifest args beyond the parsed ones
 
 
 def _parse_pair(text: str) -> tuple[float, float]:
@@ -157,8 +170,7 @@ def _manifest_args(args) -> dict:
     return out
 
 
-def cmd_generate(args, argv) -> int:
-    started = time.time()
+def cmd_generate(args) -> Run:
     consts = _constants(args)
     if args.traj == "constant":
         if args.tau_gates is not None:
@@ -202,25 +214,18 @@ def cmd_generate(args, argv) -> int:
     blockio.write_block(paths["clean"], clean)
     blockio.write_block(paths["noisy"], noisy)
     blockio.write_trajectory_csv(paths["trajectory"], traj)
-    blockio.write_manifest(
-        out_dir / "generate.manifest.json", "generate",
-        {"argv": argv, **_manifest_args(args)},
-        {k: str(v) for k, v in paths.items()},
-        started,
-        seeds={"master": args.seed, "noise": spec.seed},
-    )
-    print(f"wrote {clean.shape[0]}x{clean.shape[1]} blocks to {out_dir}")
-    print(f"input RSNR: {input_rsnr(clean, noisy):.2f} dB")
-    return EXIT_OK
+    summary = [f"wrote {clean.shape[0]}x{clean.shape[1]} blocks to {out_dir}",
+               f"input RSNR: {metrics.rsnr(clean, noisy):.2f} dB"]
+    return Run(paths, summary, manifest=out_dir / "generate.manifest.json",
+               seeds={"noise": spec.seed})
 
 
-def cmd_denoise(args, argv) -> int:
-    started = time.time()
+def cmd_denoise(args) -> Run:
     block = blockio.read_block(args.input)
     config = _solver_config(args)
     denoised, states = denoise_stream(block, args.chunk, config, with_states=True)
     blockio.write_block(args.output, denoised)
-    outputs = {"denoised": str(args.output)}
+    outputs = {"denoised": args.output}
     if args.emit_cost_trace is not None:
         rows = []
         for ci, state in enumerate(states):
@@ -228,22 +233,17 @@ def cmd_denoise(args, argv) -> int:
                 rows.append({"chunk": ci, "iteration": it, "cost": value})
         blockio.write_report_csv(args.emit_cost_trace,
                                  ["chunk", "iteration", "cost"], rows)
-        outputs["cost_trace"] = str(args.emit_cost_trace)
-    blockio.write_manifest(
-        Path(str(args.output) + ".manifest.json"), "denoise",
-        {"argv": argv, **_manifest_args(args)}, outputs, started,
-        seeds={"master": args.seed},
-    )
+        outputs["cost_trace"] = args.emit_cost_trace
     converged = sum(1 for s in states if s.stop_reason == "converged")
-    print(f"denoised {block.shape[1]} signals in {len(states)} chunk(s); "
-          f"{converged}/{len(states)} converged")
     kept = {(s.denoised.shape[1], s.modes) for s in states}
-    print("kept eigenmodes: " + ", ".join(f"{r}/{m}" for m, r in sorted(kept)))
-    return EXIT_OK
+    return Run(outputs, [
+        f"denoised {block.shape[1]} signals in {len(states)} chunk(s); "
+        f"{converged}/{len(states)} converged",
+        "kept eigenmodes: " + ", ".join(f"{r}/{m}" for m, r in sorted(kept)),
+    ])
 
 
-def cmd_estimate(args, argv) -> int:
-    started = time.time()
+def cmd_estimate(args) -> Run:
     consts = _constants(args)
     block = blockio.read_block(args.input)
     if not np.isfinite(block).all():
@@ -267,20 +267,14 @@ def cmd_estimate(args, argv) -> int:
     blockio.write_report_csv(
         args.output, ["index", "swh_m", "tau_m", "pu", "residual", "converged"], rows
     )
-    blockio.write_manifest(
-        Path(str(args.output) + ".manifest.json"), "estimate",
-        {"argv": argv, **_manifest_args(args)},
-        {"estimates": str(args.output)}, started,
-        seeds={"master": args.seed},
-    )
     grid = sum(not fit.warm for fit in fits)
-    print(f"retracked {len(rows)} signals with {args.method}; "
-          f"{grid}/{len(rows)} ran the full start grid")
-    return EXIT_OK
+    return Run({"estimates": args.output}, [
+        f"retracked {len(rows)} signals with {args.method}; "
+        f"{grid}/{len(rows)} ran the full start grid",
+    ])
 
 
-def cmd_metrics(args, argv) -> int:
-    started = time.time()
+def cmd_metrics(args) -> Run:
     rows = []
     if (args.clean is None) != (args.est is None):
         raise BadRangeError("--clean and --est must be given together")
@@ -304,23 +298,15 @@ def cmd_metrics(args, argv) -> int:
     if not rows:
         raise BadRangeError("nothing to do: give --clean/--est and/or --series")
     blockio.write_report_csv(args.output, ["metric", "param", "value"], rows)
-    blockio.write_manifest(
-        Path(str(args.output) + ".manifest.json"), "metrics",
-        {"argv": argv, **_manifest_args(args)},
-        {"metrics": str(args.output)}, started,
-        seeds={"master": args.seed},
-    )
-    for row in rows:
-        print(f"{row['metric']}[{row['param']}] = {row['value']:.6g}")
-    return EXIT_OK
+    return Run({"metrics": args.output},
+               [f"{row['metric']}[{row['param']}] = {row['value']:.6g}" for row in rows])
 
 
-def cmd_bench(args, argv) -> int:
-    started = time.time()
+def cmd_bench(args) -> Run:
     consts = _constants(args)
     config = SolverConfig()
     args.out.mkdir(parents=True, exist_ok=True)
-
+    summary = []
     if args.suite == "table1":
         n = args.n if args.n is not None else max(1, round(5000 * args.scale))
         m_list = [m for m in args.m_list if 1 <= m <= n]
@@ -332,7 +318,7 @@ def cmd_bench(args, argv) -> int:
             raise BadRangeError(f"no chunk length in {args.m_list} fits n={n}")
         result = bench.run_table1(n, m_list, args.looks, args.seed, consts, config)
         fields = ["filter_length", "rsnr_db", "ms_per_signal"]
-        print(f"input RSNR: {result['input_rsnr_db']:.2f} dB")
+        summary.append(f"input RSNR: {result['input_rsnr_db']:.2f} dB")
     else:
         runs = args.runs if args.runs is not None else max(1, round(500 * args.scale))
         if args.suite == "table2":
@@ -348,18 +334,12 @@ def cmd_bench(args, argv) -> int:
 
     report = args.out / f"{args.suite}.csv"
     blockio.write_report_csv(report, fields, result["rows"])
-    extra = {k: v for k, v in result.items() if k != "rows"}
-    blockio.write_manifest(
-        args.out / f"{args.suite}.manifest.json", "bench",
-        {"argv": argv, **_manifest_args(args), **extra},
-        {"report": str(report)}, started,
-        seeds={"master": args.seed},
-    )
     for row in result["rows"]:
-        print(",".join(f"{row[f]:.4g}" if isinstance(row[f], float) else str(row[f])
-                       for f in fields))
-    print(f"report written to {report}")
-    return EXIT_OK
+        summary.append(",".join(f"{row[f]:.4g}" if isinstance(row[f], float) else str(row[f])
+                                for f in fields))
+    summary.append(f"report written to {report}")
+    return Run({"report": report}, summary, manifest=args.out / f"{args.suite}.manifest.json",
+               args={k: v for k, v in result.items() if k != "rows"})
 
 
 _COMMANDS = {
@@ -373,10 +353,16 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return _COMMANDS[args.subcommand](args, argv)
+        run = _COMMANDS[args.subcommand](args)
+        blockio.write_manifest(
+            run.manifest or Path(f"{args.output}.manifest.json"), args.subcommand,
+            {"argv": argv, **_manifest_args(args), **run.args},
+            {name: str(path) for name, path in run.outputs.items()}, started,
+            seeds={"master": args.seed, **run.seeds},
+        )
     except (BadRangeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
@@ -386,6 +372,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io failure: {exc}", file=sys.stderr)
         return EXIT_IO
+    for line in run.summary:
+        print(line)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

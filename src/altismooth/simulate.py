@@ -21,15 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics
-from .brown import BrownConstants, BrownParams, waveform_block
+from .brown import BrownConstants, waveform_block
 from .errors import BadRangeError, ShapeMismatchError
 
 TRAJECTORY_KINDS = ("constant", "smooth-random", "file")
 NOISE_MODES = ("multiplicative-speckle", "additive-gaussian")
 
 SMOOTH_WINDOW = 50
-DEFAULT_STEP_CAP_FRAC = 0.25
+STEP_CAP_FRAC = 0.25  # of the span, per step, for trajectories read from file
 
 
 @dataclass(frozen=True)
@@ -80,9 +79,6 @@ class ParamTrajectory:
 
     def __len__(self) -> int:
         return self.swh.size
-
-    def __getitem__(self, m: int) -> BrownParams:
-        return BrownParams(swh=self.swh[m], tau=self.tau[m], pu=self.pu[m])
 
     def max_step(self) -> np.ndarray:
         """Largest per-parameter consecutive step (0 for length-1 tracks)."""
@@ -175,15 +171,16 @@ def make_trajectory(
     pu_range=None,
     seed: int = 0,
     path=None,
-    step_cap_frac: float = DEFAULT_STEP_CAP_FRAC,
     consts: BrownConstants | None = None,
 ) -> ParamTrajectory:
     """Build a parameter trajectory.
 
     kind='constant' replicates the (swh, tau, pu) triplet; 'smooth-random'
     draws one smooth series per parameter inside the given (lo, hi) ranges;
-    'file' loads a trajectory CSV written by the generator (see blockio).
-    tau is in meters everywhere.
+    'file' loads a trajectory CSV written by the generator (see blockio) and
+    rejects one whose step exceeds STEP_CAP_FRAC of its span; generated
+    tracks are smooth by construction and skip that check.  tau is in meters
+    everywhere.
     """
     if kind not in TRAJECTORY_KINDS:
         raise ValueError(f"kind must be one of {TRAJECTORY_KINDS}")
@@ -225,21 +222,16 @@ def make_trajectory(
         if np.any(traj.tau < 0) or np.any(traj.tau > consts.window_meters):
             raise BadRangeError("tau leaves the observation window")
 
-    caps = _step_caps(traj, step_cap_frac)
-    steps = traj.max_step()
-    if np.any(steps > caps):
-        raise BadRangeError(
-            f"trajectory steps {steps} exceed smoothness caps {caps}"
-        )
+    if kind == "file":
+        spans = np.array([a.max() - a.min() for a in (traj.swh, traj.tau, traj.pu)])
+        # Constant tracks have zero span and zero steps; keep the cap positive.
+        caps = STEP_CAP_FRAC * np.maximum(spans, 1e-12)
+        steps = traj.max_step()
+        if np.any(steps > caps):
+            raise BadRangeError(
+                f"trajectory steps {steps} exceed smoothness caps {caps}"
+            )
     return traj
-
-
-def _step_caps(traj: ParamTrajectory, frac: float) -> np.ndarray:
-    spans = np.array(
-        [a.max() - a.min() for a in (traj.swh, traj.tau, traj.pu)]
-    )
-    # Constant tracks have zero span and zero steps; keep the cap positive.
-    return frac * np.maximum(spans, 1e-12)
 
 
 def clean_block(traj: ParamTrajectory, consts: BrownConstants) -> np.ndarray:
@@ -267,8 +259,3 @@ def corrupt(clean: np.ndarray, spec: NoiseSpec) -> np.ndarray:
         for m, rng in streams:
             noisy[:, m] = clean[:, m] + rng.standard_normal(num_gates) * std
     return noisy
-
-
-def input_rsnr(clean: np.ndarray, noisy: np.ndarray) -> float:
-    """Ratio (dB) of clean energy to realised noise energy; inf when equal."""
-    return metrics.rsnr(clean, noisy)

@@ -67,13 +67,6 @@ class TestBlockFormat:
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
         assert leftovers == []
 
-    def test_csv_export(self, tmp_path):
-        path = tmp_path / "block.csv"
-        blockio.block_to_csv(path, np.array([[1.5, 2.5]]))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "gate,signal_0,signal_1"
-        assert lines[1] == "1,1.5,2.5"
-
 
 class TestTrajectoryCsv:
     def test_round_trip_bit_exact(self, tmp_path):

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +86,22 @@ class TestGenerate:
                        "--out-dir", tmp_path)
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.blk"))
+
+    @pytest.mark.parametrize("n", [24, 30])
+    def test_accepts_its_own_short_tracks(self, tmp_path, n):
+        rejected = [seed for seed in range(20)
+                    if run("generate", "--n", n, "--seed", seed, "--out-dir", tmp_path) != 0]
+        assert rejected == []
+
+    def test_trajectory_file_with_a_jump_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "jump.csv"
+        path.write_text("index,swh_m,tau_m,pu\n" + "".join(
+            f"{i},{2.0 if i < 15 else 4.0},14.5,130.0\n" for i in range(30)))
+        code = run("generate", "--n", 30, "--traj", "file", "--traj-file", path,
+                   "--out-dir", tmp_path)
+        assert code == 2
+        assert "exceed smoothness caps" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.blk"))
 
 
@@ -283,6 +300,62 @@ class TestBench:
         manifest = blockio.read_manifest(tmp_path / "table2.manifest.json")
         assert manifest["args"]["runs"] is None  # derived from scale
         assert manifest["args"]["scale"] == pytest.approx(0.02)
+
+
+def _contract_run(subcommand, src, d):
+    """argv of one successful run, its documented manifest path and output roles."""
+    return {
+        "generate": (["generate", "--n", 40, "--seed", 4, "--out-dir", d],
+                     d / "generate.manifest.json", {"clean", "noisy", "trajectory"}),
+        "denoise": (["denoise", "--input", src / "noisy.blk", "--output", d / "den.blk",
+                     "--chunk", 20, "--emit-cost-trace", d / "trace.csv"],
+                    d / "den.blk.manifest.json", {"denoised", "cost_trace"}),
+        "estimate": (["estimate", "--input", src / "noisy.blk", "--output", d / "est.csv"],
+                     d / "est.csv.manifest.json", {"estimates"}),
+        "metrics": (["metrics", "--clean", src / "clean.blk", "--est", src / "noisy.blk",
+                     "--series", src / "trajectory.csv", "--output", d / "m.csv"],
+                    d / "m.csv.manifest.json", {"metrics"}),
+        "bench": (["bench", "--suite", "table1", "--out", d, "--n", 40, "--m-list", "20,40",
+                   "--seed", 6], d / "table1.manifest.json", {"report"}),
+    }[subcommand]
+
+
+class TestManifestContract:
+    @pytest.fixture()
+    def src(self, tmp_path):
+        assert run("generate", "--n", 40, "--seed", 1, "--out-dir", tmp_path / "src") == 0
+        return tmp_path / "src"
+
+    @pytest.mark.parametrize("subcommand",
+                             ["generate", "denoise", "estimate", "metrics", "bench"])
+    def test_one_manifest_at_its_documented_path(self, src, tmp_path, subcommand):
+        d = tmp_path / "run"
+        d.mkdir()
+        argv, path, roles = _contract_run(subcommand, src, d)
+        assert run(*argv) == 0
+        assert list(d.rglob("*.manifest.json")) == [path]
+        manifest = blockio.read_manifest(path)
+        assert manifest["subcommand"] == subcommand
+        assert manifest["args"]["argv"] == [str(a) for a in argv]
+        master = int(argv[argv.index("--seed") + 1]) if "--seed" in argv else 0
+        expected_seeds = {"master", "noise"} if subcommand == "generate" else {"master"}
+        assert set(manifest["seeds"]) == expected_seeds
+        assert manifest["seeds"]["master"] == master
+        assert set(manifest["outputs"]) == roles
+        assert all(Path(out).is_file() for out in manifest["outputs"].values())
+
+    @pytest.mark.parametrize("argv, code", [
+        (["generate", "--n", 8, "--swh-range", "5,1", "--out-dir", "{d}"], 2),
+        (["denoise", "--input", "{d}/nan.blk", "--output", "{d}/out.blk"], 3),
+        (["generate", "--n", 8, "--traj", "constant", "--pu", 0, "--out-dir", "{d}"], 3),
+        (["denoise", "--input", "{d}/absent.blk", "--output", "{d}/out.blk"], 4),
+    ], ids=["bad-range", "non-finite-block", "zero-energy", "missing-input"])
+    def test_failed_run_writes_no_manifest(self, tmp_path, argv, code):
+        poisoned = np.ones((104, 8))
+        poisoned[50, 3] = np.nan
+        blockio.write_block(tmp_path / "nan.blk", poisoned)
+        assert run(*(str(a).format(d=tmp_path) for a in argv)) == code
+        assert not list(tmp_path.rglob("*.manifest.json"))
 
 
 class TestParser:

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 import altismooth as alt
-from altismooth import BadRangeError, DegenerateInputError, NoiseSpec
-from altismooth.simulate import (
-    NOISE_MODES, ParamTrajectory, corrupt, input_rsnr, make_trajectory,
-)
+from altismooth import BadRangeError, DegenerateInputError, NoiseSpec, rsnr
+from altismooth.simulate import NOISE_MODES, ParamTrajectory, corrupt, make_trajectory
 
 from oracles import naive_corrupt
 
@@ -18,8 +16,7 @@ class TestTrajectories:
         assert np.all(traj.swh == 2.0)
         assert np.all(traj.tau == tau)
         assert np.all(traj.pu == 130.0)
-        p = traj[123]
-        assert (p.swh, p.tau, p.pu) == (2.0, tau, 130.0)
+        assert (traj.swh[123], traj.tau[123], traj.pu[123]) == (2.0, tau, 130.0)
 
     def test_smooth_random_respects_ranges(self, consts):
         traj = make_trajectory(
@@ -205,15 +202,15 @@ class TestColumnSeeding:
 class TestInputRsnr:
     def test_identical_blocks_saturate(self):
         clean = np.ones((3, 4))
-        assert input_rsnr(clean, clean.copy()) == np.inf
+        assert rsnr(clean, clean.copy()) == np.inf
 
     def test_doubled_block_is_zero_db(self):
         clean = np.full((3, 4), 2.0)
-        assert input_rsnr(clean, 2.0 * clean) == pytest.approx(0.0, abs=1e-12)
+        assert rsnr(clean, 2.0 * clean) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_clean_energy_raises(self):
         with pytest.raises(DegenerateInputError):
-            input_rsnr(np.zeros((2, 2)), np.ones((2, 2)))
+            rsnr(np.zeros((2, 2)), np.ones((2, 2)))
 
     def test_ninety_look_track_lands_near_nineteen_and_a_half(self, consts):
         traj = make_trajectory("smooth-random", 2000, swh_range=(3.4, 5.4),
@@ -221,4 +218,4 @@ class TestInputRsnr:
                                seed=0, consts=consts)
         clean = alt.clean_block(traj, consts)
         noisy = corrupt(clean, NoiseSpec(looks=90.0, seed=1))
-        assert input_rsnr(clean, noisy) == pytest.approx(19.55, abs=1.5)
+        assert rsnr(clean, noisy) == pytest.approx(19.55, abs=1.5)
