@@ -108,33 +108,36 @@ def _stable_terms(u, v):
     """Return (1+erf(u))*exp(v) without overflow.
 
     For u < 0 the product is computed as erfcx(-u)*exp(v - u^2), which stays
-    bounded even when exp(v) alone would overflow.
+    bounded even when exp(v) alone would overflow.  From u = 6 up, erf(u)
+    rounds to exactly 1.0 and the product is 2*exp(v).  NaN takes the erf
+    branch, so that it reaches the callers' non-finite checks.
     """
     rise = np.empty_like(u)
-    neg = u < 0.0
-    pos = ~neg
+    neg, top = u < 0.0, u >= 6.0
+    mid = ~(neg | top)
     u_neg = u[neg]
     with np.errstate(over="raise", invalid="raise"):
         try:
             rise[neg] = erfcx(-u_neg) * np.exp(v[neg] - u_neg**2)
-            rise[pos] = (1.0 + erf(u[pos])) * np.exp(v[pos])
+            rise[mid] = (1.0 + erf(u[mid])) * np.exp(v[mid])
+            rise[top] = 2.0 * np.exp(v[top])
         except FloatingPointError as exc:
             raise NonFiniteError(f"waveform evaluation overflowed: {exc}") from exc
     return rise
 
 
-def _edge_terms(swh, tau, consts: BrownConstants):
-    """Leading-edge terms (dt, sc2, sc, u, v) at the gate times.
+def _edge_terms(swh, tau, t, consts: BrownConstants):
+    """Leading-edge terms (dt, sc2, sc, u, v) at the gate times t.
 
-    swh and tau (meters) are scalars or length-M arrays, always evaluated as
-    1-D arrays so that one triplet and a batch take the same arithmetic.
-    dt = t - tau_s, u (the erf argument) and v (the exponent) come out K x M.
+    swh and tau (meters) broadcast against t: length-M vectors against the
+    K x 1 gate column give K x M terms, n x 1 columns against the length-K
+    gate row give n x K.  Every term is elementwise, so an entry does not
+    depend on the layout.  dt = t - tau_s, u is the erf argument and v the
+    exponent.
     """
-    swh = np.atleast_1d(np.asarray(swh, dtype=float))
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
     a = consts.alpha
     with np.errstate(over="ignore", invalid="ignore"):
-        dt = consts.gate_times()[:, None] - 2.0 * tau / consts.c
+        dt = t - 2.0 * tau / consts.c
         sc2 = (swh / (2.0 * consts.c)) ** 2 + consts.sigma_p**2
         sc = np.sqrt(sc2)
         u = (dt - a * sc2) / (_SQRT2 * sc)
@@ -144,11 +147,48 @@ def _edge_terms(swh, tau, consts: BrownConstants):
 
 def _waveform(swh, tau, pu, consts: BrownConstants) -> np.ndarray:
     """K x M model block of validated, broadcastable parameter arrays."""
-    _, _, _, u, v = _edge_terms(swh, tau, consts)
+    _, _, _, u, v = _edge_terms(np.atleast_1d(np.asarray(swh, dtype=float)),
+                                np.atleast_1d(np.asarray(tau, dtype=float)),
+                                consts.gate_times()[:, None], consts)
     block = 0.5 * np.atleast_1d(np.asarray(pu, dtype=float)) * _stable_terms(u, v)
     if not np.isfinite(block).all():
         raise NonFiniteError("waveform evaluation produced non-finite samples")
     return block
+
+
+def _model_and_jacobian(theta: np.ndarray, consts: BrownConstants):
+    """Model and jacobian of the n x 3 rows (swh, tau, pu) of theta, from one set of edge terms.
+
+    Unvalidated, for the retracking loop, whose trials keep swh, pu >= 0.
+    Returns the n x K model rows and the C-contiguous n x K x 3 jacobian,
+    tau differentiated in meters.  The arithmetic is elementwise and that of
+    ``brown_waveform``, so each entry equals the public functions' bit for
+    bit.  A non-finite model entry makes its jacobian entries non-finite
+    too, so one check guards both.
+    """
+    c = consts.c
+    a = consts.alpha
+    swh, pu = theta[:, :1], theta[:, 2:]
+    dt, sc2, sc, u, v = _edge_terms(swh, theta[:, 1:2], consts.gate_times(), consts)
+    rise = _stable_terms(u, v)
+    # Cannot overflow where rise did not: for u < 0 it has rise's exponent,
+    # for u >= 0 its exponent v - u^2 is below v.
+    bell = _TWO_OVER_SQRTPI * np.exp(v - u**2)
+
+    half_pu = 0.5 * pu
+    jac = np.empty(rise.shape + (3,))
+    # d/d swh through sc2: d sc2/d swh = swh/(2 c^2).
+    d_sc2 = swh / (2.0 * c**2)
+    d_sc = d_sc2 / (2.0 * sc)
+    du_dsc = -dt / (_SQRT2 * sc2) - a / _SQRT2
+    jac[..., 0] = half_pu * (bell * du_dsc * d_sc + rise * (a**2 / 2.0) * d_sc2)
+    # d/d tau (meters): d tau_s/d tau = 2/c.
+    jac[..., 1] = half_pu * (a * rise - bell / (_SQRT2 * sc)) * (2.0 / c)
+    # d/d pu: the model is linear in pu.
+    jac[..., 2] = 0.5 * rise
+    if not np.isfinite(jac).all():
+        raise NonFiniteError("model or jacobian evaluation produced non-finite values")
+    return half_pu * rise, jac
 
 
 def waveform_block(swh, tau, pu, consts: BrownConstants) -> np.ndarray:
@@ -181,36 +221,12 @@ def brown_jacobian(params: BrownParams, consts: BrownConstants) -> np.ndarray:
 
     K x 3 for one triplet; for a batch of n, the n x K x 3 stack whose item
     i is the jacobian of triplet i, each item C-contiguous like the single
-    one.  tau is differentiated in meters.  Uses the same edge terms and
-    overflow-safe factorisation as the forward model.
+    one.  tau is differentiated in meters.  Evaluated by the kernel that the
+    retracking trials use, with the forward model's edge terms and
+    overflow-safe factorisation.
     """
-    c = consts.c
-    a = consts.alpha
-    swh = np.atleast_1d(np.asarray(params.swh, dtype=float))
-    pu = np.atleast_1d(np.asarray(params.pu, dtype=float))
-    dt, sc2, sc, u, v = _edge_terms(swh, params.tau, consts)
-    rise = _stable_terms(u, v)
-    # Cannot overflow where rise did not: for u < 0 it has rise's exponent,
-    # for u >= 0 its exponent v - u^2 is below v.
-    bell = _TWO_OVER_SQRTPI * np.exp(v - u**2)
-
-    half_pu = 0.5 * pu
-    # d/d pu: the model is linear in pu.
-    d_pu = 0.5 * rise
-
-    # d/d tau (meters): d tau_s/d tau = 2/c.
-    d_tau_s = half_pu * (a * rise - bell / (_SQRT2 * sc))
-    d_tau = d_tau_s * (2.0 / c)
-
-    # d/d swh through sc2: d sc2/d swh = swh/(2 c^2).
-    d_sc2 = swh / (2.0 * c**2)
-    d_sc = d_sc2 / (2.0 * sc)
-    du_dsc = -dt / (_SQRT2 * sc2) - a / _SQRT2
-    d_swh = half_pu * (bell * du_dsc * d_sc + rise * (a**2 / 2.0) * d_sc2)
-
-    jac = np.array([d_swh, d_tau, d_pu]).T.copy()  # n x K x 3, C-contiguous
-    if not np.isfinite(jac).all():
-        raise NonFiniteError("jacobian evaluation produced non-finite entries")
+    theta = np.array([params.swh, params.tau, params.pu], dtype=float).reshape(3, -1).T
+    jac = _model_and_jacobian(theta, consts)[1]
     return jac if np.ndim(params.swh) else jac[0]
 
 

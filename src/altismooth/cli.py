@@ -203,6 +203,7 @@ def cmd_generate(args) -> Run:
         noise_var=args.noise_var,
     )
     noisy = corrupt(clean, spec)
+    input_rsnr = metrics.rsnr(clean, noisy)  # raises on a zero-energy block before any write
 
     out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -215,7 +216,7 @@ def cmd_generate(args) -> Run:
     blockio.write_block(paths["noisy"], noisy)
     blockio.write_trajectory_csv(paths["trajectory"], traj)
     summary = [f"wrote {clean.shape[0]}x{clean.shape[1]} blocks to {out_dir}",
-               f"input RSNR: {metrics.rsnr(clean, noisy):.2f} dB"]
+               f"input RSNR: {input_rsnr:.2f} dB"]
     return Run(paths, summary, manifest=out_dir / "generate.manifest.json",
                seeds={"noise": spec.seed})
 

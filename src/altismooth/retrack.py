@@ -10,13 +10,16 @@ finishing cost; on a tie the earlier start wins.  A caller-supplied
 ``init`` replaces the five with that single start.
 
 The starts run as one batch (Moré 1978, "The Levenberg-Marquardt
-algorithm: implementation and theory"): each round evaluates the model
-and its jacobian once for all starts still iterating and solves their
-damped 3 x 3 systems as one stack, while every start keeps its own
-damping, rejections, convergence test and iteration cap, so its result
-does not depend on which other starts share its batch.  A start that
-cannot descend is dropped; the fit raises DivergedError only when every
-start is dropped.
+algorithm: implementation and theory"): each round solves the damped
+3 x 3 systems of all starts still iterating as one stack, and each pass
+of trial steps evaluates the model and its jacobian together, in one
+``brown._model_and_jacobian`` call on the n x K rows.  An accepted trial
+carries its jacobian into the next round, so only the starts go through
+``BrownParams`` and the public ``brown_waveform`` and ``brown_jacobian``.
+Every start keeps its own damping, rejections, convergence test and
+iteration cap, so its result does not depend on which other starts share
+its batch.  A start that cannot descend is dropped; the fit raises
+DivergedError only when every start is dropped.
 
 ``fit_block`` uses the smoothness of the track.  It fits the columns in
 consecutive batches of ``FIT_BATCH``, one batched run per batch, with every
@@ -47,7 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brown import BrownConstants, BrownParams, brown_jacobian, brown_waveform
+from .brown import (BrownConstants, BrownParams, _model_and_jacobian, brown_jacobian,
+                    brown_waveform)
 from .errors import DivergedError
 
 MAX_ITERATIONS = 200
@@ -83,16 +87,6 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _residuals(y: np.ndarray, theta: np.ndarray, consts: BrownConstants) -> np.ndarray:
-    """n x K residuals of the n x K waveforms y and the parameter rows of theta.
-
-    Contiguous rows keep each start's cost, ``_rowdot(resid, resid)``, the
-    same ddot whatever other starts share its batch.
-    """
-    wave = brown_waveform(BrownParams(*theta.T), consts)
-    return np.ascontiguousarray(y - wave.T)
-
-
 def _solve(systems: np.ndarray, rhs: np.ndarray):
     """Solve the stacked 3 x 3 systems; (steps, solved), solved False where singular."""
     solved = np.ones(len(rhs), dtype=bool)
@@ -113,19 +107,26 @@ def _lm_fit(y, consts, starts):
 
     y holds one waveform per start, n x K, or one waveform that every start
     fits.  Each start keeps its own damping lam, iteration count and convergence
-    test.  A round takes one jacobian for every active start; the starts
-    then try damped steps until each has accepted one.  A rejected start
-    stays pending and retries with its damping grown by LAMBDA_GROW; after
-    MAX_REJECTS rejections in one round it diverges, unless a rejected step
-    passes the STEP_TOL test: the start is then at its minimum, where
-    rounding can make every step uphill, and has converged.  One model call
-    serves every trial of a pass.  Returns per start the parameters, cost,
-    iterations and the converged and diverged flags.
+    test.  A round forms every active start's damped normal equations from
+    its jacobian; the starts then try damped steps until each has accepted
+    one.  A rejected start stays pending and retries with its damping grown
+    by LAMBDA_GROW; after MAX_REJECTS rejections in one round it diverges,
+    unless a rejected step passes the STEP_TOL test: the start is then at its
+    minimum, where rounding can make every step uphill, and has converged.
+    The starts are evaluated through the public ``brown_waveform`` and
+    ``brown_jacobian``.  Each pass of trials makes one ``_model_and_jacobian``
+    call, and an accepted trial carries its jacobian into the next round, so
+    a rejected trial wastes one jacobian.  Returns per start the parameters,
+    cost, iterations and the converged and diverged flags.
     """
     theta = np.maximum(np.array(starts, dtype=float), _LOWER)
     n = len(theta)
     y = np.broadcast_to(y, (n, np.shape(y)[-1]))
-    resid = _residuals(y, theta, consts)
+    # Contiguous rows keep each start's cost, _rowdot(resid, resid), the
+    # same ddot whatever other starts share its batch.
+    params = BrownParams(*theta.T)
+    resid = np.ascontiguousarray(y - brown_waveform(params, consts).T)
+    jac_at = brown_jacobian(params, consts)  # at each start's current theta
     cost = _rowdot(resid, resid)
     lam = np.full(n, LAMBDA_INIT)
     iterations = np.zeros(n, dtype=int)
@@ -135,10 +136,11 @@ def _lm_fit(y, consts, starts):
 
     while active.any():
         rows = np.flatnonzero(active)
-        jac = brown_jacobian(BrownParams(*theta[rows].T), consts)
+        jac = jac_at[rows]
         jac_t = jac.transpose(0, 2, 1)
         grad = (jac_t @ resid[rows][:, :, None])[:, :, 0]
         normal = jac_t @ jac
+        del jac, jac_t  # freed before the trials: keeps the estimate step's peak memory down
         damping = np.diagonal(normal, axis1=1, axis2=2).copy()
         # keeps zero columns solvable
         damping += 1e-12 * np.maximum(damping.max(axis=1), 1.0)[:, None]
@@ -152,11 +154,14 @@ def _lm_fit(y, consts, starts):
                                    grad[pending])
             tried, steps = at[solved], steps[solved]
             trial = np.maximum(theta[tried] + steps, _LOWER)
-            trial_resid = _residuals(y[tried], trial, consts)
+            wave, trial_jac = _model_and_jacobian(trial, consts)
+            trial_resid = y[tried] - wave
             trial_cost = _rowdot(trial_resid, trial_resid)
             better = trial_cost <= cost[tried]
             won = tried[better]
             theta[won], resid[won] = trial[better], trial_resid[better]
+            jac_at[won] = trial_jac[better]
+            del wave, trial_jac
             cost[won] = trial_cost[better]
             lam[won] = np.maximum(lam[won] / LAMBDA_SHRINK, 1e-12)
             step_norm = np.sqrt(_rowdot(steps, steps))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import mpmath as mp
 import numpy as np
+from scipy.special import erf, erfcx
 
 from altismooth import retrack
 from altismooth.brown import BrownParams, brown_jacobian, brown_waveform
@@ -40,6 +41,32 @@ def mp_waveform(swh, tau_m, pu, consts, dps: int = 50) -> np.ndarray:
         [mp_waveform_sample(swh, tau_m, pu, consts, k, dps)
          for k in range(1, consts.num_gates + 1)]
     )
+
+
+def column_model_and_jacobian(swh, tau_m, pu, consts):
+    """K x M model block and M x K x 3 jacobian stack in the column layout.
+
+    The unfused form: K x M edge terms, 1 + erf(u) for every u >= 0 (no
+    u >= 6 shortcut) and each partial derivative its own K x M array,
+    stacked and transposed at the end.  The same float operations in the
+    same order as the retracking kernel, so the two must agree bit for bit.
+    """
+    swh, tau, pu = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (swh, tau_m, pu))
+    c, a, sqrt2 = consts.c, consts.alpha, np.sqrt(2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt = consts.gate_times()[:, None] - 2.0 * tau / c
+        sc2 = (swh / (2.0 * c)) ** 2 + consts.sigma_p**2
+        sc = np.sqrt(sc2)
+        u = (dt - a * sc2) / (sqrt2 * sc)
+        v = -a * (dt - a * sc2 / 2.0)
+        rise = np.where(u < 0.0, erfcx(-u) * np.exp(v - u**2), (1.0 + erf(u)) * np.exp(v))
+    bell = 2.0 / np.sqrt(np.pi) * np.exp(v - u**2)
+    half_pu = 0.5 * pu
+    d_sc2 = swh / (2.0 * c**2)
+    d_swh = half_pu * (bell * (-dt / (sqrt2 * sc2) - a / sqrt2) * (d_sc2 / (2.0 * sc))
+                       + rise * (a**2 / 2.0) * d_sc2)
+    d_tau = half_pu * (a * rise - bell / (sqrt2 * sc)) * (2.0 / c)
+    return half_pu * rise, np.array([d_swh, d_tau, 0.5 * rise]).T.copy()
 
 
 def dense_correlation(num_signals, lengthscale, jitter) -> np.ndarray:

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from altismooth import (
     BrownConstants,
@@ -15,6 +16,7 @@ from altismooth import (
     sigma_c_sq,
     waveform_block,
 )
+from altismooth.brown import _edge_terms, _model_and_jacobian
 
 import oracles
 
@@ -184,6 +186,57 @@ class TestBatch:
             BrownParams(ok, 10.0, ok)
         with pytest.raises(ValueError, match="equal-length"):
             BrownParams(ok[None, :], ok[None, :], ok[None, :])
+
+
+class TestModelAndJacobian:
+    """The retracking loop's fused kernel, in its n x K row layout."""
+
+    @staticmethod
+    def rows(consts, n, zero):
+        """n random parameter rows, with column zero (swh or pu) set to 0."""
+        rng = np.random.default_rng(n)
+        theta = np.column_stack([rng.uniform(0.0, 8.0, n),
+                                 gates_to_meters(rng.uniform(10.0, 60.0, n), consts),
+                                 rng.uniform(0.0, 200.0, n)])
+        if zero is not None:
+            theta[:, zero] = 0.0
+        return theta
+
+    @pytest.mark.parametrize("zero", [None, 0, 2], ids=["random", "swh=0", "pu=0"])
+    @pytest.mark.parametrize("n", [1, 32, 64, 500])
+    def test_matches_public_functions_bit_for_bit(self, consts, n, zero):
+        theta = self.rows(consts, n, zero)
+        u = _edge_terms(theta[:, :1], theta[:, 1:2], consts.gate_times(), consts)[3]
+        # every rise branch is exercised: erfcx, erf, and erf(u) == 1
+        assert (u < 0).any() and ((u >= 0) & (u < 6)).any() and (u >= 6).any()
+        model, jac = _model_and_jacobian(theta, consts)
+        assert model.shape == (n, consts.num_gates)
+        assert jac.shape == (n, consts.num_gates, 3) and jac.flags.c_contiguous
+        params = BrownParams(*theta.T)
+        assert np.array_equal(model, brown_waveform(params, consts).T)
+        assert np.array_equal(jac, brown_jacobian(params, consts))
+        want_model, want_jac = oracles.column_model_and_jacobian(*theta.T, consts)
+        assert np.array_equal(model, want_model.T)
+        assert np.array_equal(jac, want_jac)
+
+    @pytest.mark.parametrize("row", [[1e300, 40.0, 1.0], [np.nan, 40.0, 1.0],
+                                     [2.0, np.inf, 1.0], [2.0, 40.0, np.inf]],
+                             ids=["swh=1e300", "swh=nan", "tau=inf", "pu=inf"])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # pu = inf
+    def test_pathological_inputs_raise(self, consts, row):
+        # alone, and beside a good row of the same batch
+        for theta in ([row], [[2.0, 40.0, 130.0], row]):
+            with pytest.raises(NonFiniteError):
+                _model_and_jacobian(np.array(theta), consts)
+            with pytest.raises(NonFiniteError):
+                brown_jacobian(BrownParams(*np.array(theta).T), consts)
+
+    def test_erf_is_exactly_one_from_six_up(self):
+        # the rise is 2*exp(v) from u = 6 up, which is (1 + erf(u))*exp(v)
+        # only while scipy's erf rounds to exactly 1.0 there
+        u = np.concatenate([np.linspace(6.0, 40.0, 1_000_001),
+                            np.geomspace(40.0, 1e308, 1001), [np.inf]])
+        assert np.all(erf(u) == 1.0)
 
 
 class TestConstantsProfile:

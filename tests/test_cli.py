@@ -345,9 +345,9 @@ class TestManifestContract:
         assert all(Path(out).is_file() for out in manifest["outputs"].values())
 
     @pytest.mark.parametrize("argv, code", [
-        (["generate", "--n", 8, "--swh-range", "5,1", "--out-dir", "{d}"], 2),
+        (["generate", "--n", 8, "--swh-range", "5,1", "--out-dir", "{d}/out"], 2),
         (["denoise", "--input", "{d}/nan.blk", "--output", "{d}/out.blk"], 3),
-        (["generate", "--n", 8, "--traj", "constant", "--pu", 0, "--out-dir", "{d}"], 3),
+        (["generate", "--n", 8, "--traj", "constant", "--pu", 0, "--out-dir", "{d}/out"], 3),
         (["denoise", "--input", "{d}/absent.blk", "--output", "{d}/out.blk"], 4),
     ], ids=["bad-range", "non-finite-block", "zero-energy", "missing-input"])
     def test_failed_run_writes_no_manifest(self, tmp_path, argv, code):
@@ -355,7 +355,8 @@ class TestManifestContract:
         poisoned[50, 3] = np.nan
         blockio.write_block(tmp_path / "nan.blk", poisoned)
         assert run(*(str(a).format(d=tmp_path) for a in argv)) == code
-        assert not list(tmp_path.rglob("*.manifest.json"))
+        # no manifest, and no output either: only the test's own input is left
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["nan.blk"]
 
 
 class TestParser:

@@ -6,6 +6,8 @@ against itself in different batches, and drive its divergence handling
 through patched model derivatives.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,18 @@ def patch_jacobian(monkeypatch, tau, change):
     monkeypatch.setattr(retrack, "brown_jacobian", patched)
 
 
+def log_calls(monkeypatch, names):
+    """Wrap each named retrack attribute to append its name to the returned log."""
+    log = []
+    for name in names:
+        def call(*args, real=getattr(retrack, name), name=name):
+            log.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(retrack, name, call)
+    return log
+
+
 def test_start_exhausting_rejects_is_dropped(consts, monkeypatch):
     # the winning start is sent uphill, so every damped step is rejected;
     # after MAX_REJECTS it diverges and the other starts decide the fit
@@ -119,17 +133,27 @@ def test_start_exhausting_rejects_is_dropped(consts, monkeypatch):
     expected, _ = best_of(y, consts, others)
     assert ls_fit(y, consts) != expected
     patch_jacobian(monkeypatch, starts[winner][1], lambda jac: -jac)
-    real_waveform, evaluations = retrack.brown_waveform, []
-
-    def counted(params, c):
-        evaluations.append(params)
-        return real_waveform(params, c)
-
-    monkeypatch.setattr(retrack, "brown_waveform", counted)
+    evaluations = log_calls(monkeypatch, ["brown_waveform", "_model_and_jacobian"])
     with pytest.raises(DivergedError):
         ls_fit(y, consts, init=BrownParams(*starts[winner]))
-    assert len(evaluations) == 1 + retrack.MAX_REJECTS  # the start, then each rejected trial
+    # the start, then each rejected trial's pass
+    assert evaluations == ["brown_waveform"] + ["_model_and_jacobian"] * retrack.MAX_REJECTS
     assert ls_fit(y, consts) == expected
+
+
+def test_one_kernel_call_per_trial_pass(consts, monkeypatch):
+    # each _lm_fit call evaluates its starts through brown_waveform and
+    # brown_jacobian once; after that every pass of trials is one _solve and
+    # one fused call, and no round calls brown_jacobian again
+    tags = {"_lm_fit": "F", "brown_waveform": "W", "brown_jacobian": "J", "_solve": "S",
+            "_model_and_jacobian": "K"}
+    log = log_calls(monkeypatch, tags)
+    fits = retrack.fit_block(speckled(consts, 40, seed=33), consts)
+    calls = "".join(tags[name] for name in log)
+    assert re.fullmatch(r"(FWJ(SK)+)+", calls)
+    # the grid for the first column, one warm batch of FIT_BATCH and one of
+    # the rest, and a grid per column whose warm fit was not kept
+    assert calls.count("F") == 3 + sum(not f.warm for f in fits[1:])
 
 
 def test_start_with_singular_systems_is_dropped(consts, monkeypatch):
