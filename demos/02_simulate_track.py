@@ -28,7 +28,7 @@ traj = make_trajectory(
     seed=7,
     consts=consts,
 )
-print(f"trajectory of {len(traj)} signals")
+print(f"trajectory of {traj.swh.size} signals")
 for name, series in (("swh", traj.swh), ("tau", traj.tau), ("pu", traj.pu)):
     step = np.abs(np.diff(series)).max()
     print(f"  {name:3s}: range [{series.min():8.3f}, {series.max():8.3f}], "

@@ -11,7 +11,6 @@ import numpy as np
 
 from altismooth import (
     NoiseSpec,
-    ParamSeries,
     clean_block,
     corrupt,
     denoise_stream,
@@ -19,6 +18,7 @@ from altismooth import (
     gates_to_meters,
     jason2_like,
     make_trajectory,
+    rmse,
     svd_filter_stream,
 )
 
@@ -28,7 +28,6 @@ truth = (2.0, float(gates_to_meters(31, consts)), 130.0)
 traj = make_trajectory("constant", runs, swh=truth[0], tau=truth[1], pu=truth[2])
 clean = clean_block(traj, consts)
 noisy = corrupt(clean, NoiseSpec(looks=90, seed=11))
-truth_block = np.tile(truth, (runs, 1))
 
 versions = {
     "plain LS": noisy,
@@ -44,11 +43,10 @@ print(header)
 print("-" * len(header))
 for label, block in versions.items():
     fits = fit_block(block, consts)
-    estimates = np.array([[f.params.swh, f.params.tau, f.params.pu] for f in fits])
-    series = ParamSeries(estimates, truth_block)
+    estimates = np.array([[f.params.swh, f.params.tau, f.params.pu] for f in fits]).T
+    errors = [rmse(est, true) for est, true in zip(estimates, (traj.swh, traj.tau, traj.pu))]
     grid = sum(not f.warm for f in fits)
-    print(f"{label:22s} {series.rmse(0):12.4f} {series.rmse(1):12.4f} "
-          f"{series.rmse(2):10.4f} {grid:10d}")
+    print(f"{label:22s} {errors[0]:12.4f} {errors[1]:12.4f} {errors[2]:10.4f} {grid:10d}")
 
 print("\ngrid cols: signals whose fit ran the full five-start grid instead of "
       "a warm start from the latest fit with swh > 0")

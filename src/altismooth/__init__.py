@@ -42,15 +42,9 @@ from .kernels import (
     build_correlation,
     decompose,
 )
-from .metrics import ParamSeries, rmse, rsnr, std, std_20hz
+from .metrics import rmse, rsnr, std, std_20hz
 from .retrack import FitResult, fit_block, ls_fit, svd_filter, svd_filter_stream
-from .simulate import (
-    NoiseSpec,
-    ParamTrajectory,
-    clean_block,
-    corrupt,
-    make_trajectory,
-)
+from .simulate import NoiseSpec, clean_block, corrupt, make_trajectory
 from .solver import SolverConfig, SolverState, denoise, denoise_stream
 
 __all__ = [
@@ -66,8 +60,6 @@ __all__ = [
     "NoiseSpec",
     "NonFiniteError",
     "NotPositiveDefiniteError",
-    "ParamSeries",
-    "ParamTrajectory",
     "ShapeMismatchError",
     "SolverConfig",
     "SolverState",

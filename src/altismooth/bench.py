@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from .brown import BrownConstants, gates_to_meters, jason2_like
-from .metrics import ParamSeries, rsnr
+from .metrics import PARAM_NAMES, rmse, rsnr
 from .retrack import fit_block, svd_filter_stream
 from .simulate import NoiseSpec, clean_block, corrupt, make_trajectory
 from .solver import SolverConfig, denoise_stream
@@ -91,7 +91,6 @@ def _sweep_block(swh, runs, looks, seed, index, consts):
         swh=float(swh),
         tau=float(gates_to_meters(SWEEP_TAU_GATES, consts)),
         pu=SWEEP_PU,
-        seed=seed,
     )
     clean = clean_block(traj, consts)
     noisy = corrupt(
@@ -128,8 +127,9 @@ def run_table2(
 
 
 def _fit_series(block, consts) -> np.ndarray:
+    """3 x N fitted (swh, tau, pu) rows, one column per signal."""
     results = fit_block(block, consts)
-    return np.array([[r.params.swh, r.params.tau, r.params.pu] for r in results])
+    return np.array([[r.params.swh, r.params.tau, r.params.pu] for r in results]).T
 
 
 def run_fig4(
@@ -147,7 +147,7 @@ def run_fig4(
     rows = []
     for i, swh in enumerate(swh_list):
         traj, clean, noisy = _sweep_block(swh, runs, looks, seed, i, consts)
-        truth = np.column_stack([traj.swh, traj.tau, traj.pu])
+        truth = (traj.swh, traj.tau, traj.pu)
         versions = {
             "ls": noisy,
             "svd": svd_filter_stream(noisy, chunk, svd_threshold),
@@ -155,17 +155,11 @@ def run_fig4(
         }
         row = {"swh": float(swh)}
         for label, block in versions.items():
-            series = ParamSeries(_fit_series(block, consts), truth)
-            row[f"rmse_swh_{label}"] = series.rmse(0)
-            row[f"rmse_tau_{label}"] = series.rmse(1)
-            row[f"rmse_pu_{label}"] = series.rmse(2)
+            for name, fitted, true in zip(PARAM_NAMES, _fit_series(block, consts), truth):
+                row[f"rmse_{name}_{label}"] = rmse(fitted, true)
         rows.append(row)
     return {"rows": rows}
 
 
-FIG4_FIELDS = [
-    "swh",
-    "rmse_swh_ls", "rmse_swh_svd", "rmse_swh_sse",
-    "rmse_tau_ls", "rmse_tau_svd", "rmse_tau_sse",
-    "rmse_pu_ls", "rmse_pu_svd", "rmse_pu_sse",
-]
+FIG4_FIELDS = ["swh"] + [f"rmse_{name}_{label}" for name in PARAM_NAMES
+                          for label in ("ls", "svd", "sse")]

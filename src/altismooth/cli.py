@@ -6,7 +6,8 @@ run's JSON manifest next to them, recording the resolved arguments and
 seeds, so any output can be reproduced byte-for-byte by re-running the
 recorded argv.  Only a run that exits 0 writes a manifest.
 
-Exit codes: 0 ok, 2 bad arguments, 3 numerical failure, 4 I/O failure.
+Exit codes: 0 ok, 2 bad arguments or mismatched inputs, 3 numerical
+failure, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import bench, blockio, metrics
 from .brown import BrownConstants, gates_to_meters, jason2_like, load_constants
-from .errors import AltismoothError, BadRangeError, NonFiniteError
+from .errors import AltismoothError, BadRangeError, NonFiniteError, ShapeMismatchError
 from .kernels import DEFAULT_LENGTHSCALE
 from .retrack import fit_block, svd_filter_stream
 from .simulate import NOISE_MODES, NoiseSpec, clean_block, corrupt, make_trajectory
@@ -178,9 +179,9 @@ def cmd_generate(args) -> Run:
         elif args.tau_m is not None:
             tau_m = args.tau_m
         else:
-            tau_m = float(gates_to_meters(31.0, consts))
+            tau_m = float(gates_to_meters(bench.SWEEP_TAU_GATES, consts))
         traj = make_trajectory("constant", args.n, swh=args.swh, tau=tau_m,
-                               pu=args.pu, seed=args.seed, consts=consts)
+                               pu=args.pu, consts=consts)
     elif args.traj == "smooth-random":
         traj = make_trajectory(
             "smooth-random", args.n,
@@ -192,8 +193,7 @@ def cmd_generate(args) -> Run:
     else:
         if args.traj_file is None:
             raise BadRangeError("--traj file needs --traj-file")
-        traj = make_trajectory("file", args.n, path=args.traj_file,
-                               seed=args.seed, consts=consts)
+        traj = make_trajectory("file", args.n, path=args.traj_file, consts=consts)
 
     clean = clean_block(traj, consts)
     spec = NoiseSpec(
@@ -285,17 +285,17 @@ def cmd_metrics(args) -> Run:
         rows.append({"metric": "rsnr_db", "param": "block",
                      "value": metrics.rsnr(clean, est)})
     if args.series is not None:
-        estimates = np.column_stack(blockio.read_trajectory_csv(args.series))
-        truth = (np.column_stack(blockio.read_trajectory_csv(args.truth))
-                 if args.truth is not None else None)
-        series = metrics.ParamSeries(estimates, truth)
+        estimates = blockio.read_trajectory_csv(args.series)
+        truth = blockio.read_trajectory_csv(args.truth) if args.truth is not None else None
         for p, name in enumerate(metrics.PARAM_NAMES):
+            est = estimates[p]
             if truth is not None:
-                rows.append({"metric": "rmse", "param": name, "value": series.rmse(p)})
-            rows.append({"metric": "std", "param": name, "value": series.std(p)})
-            if len(series) >= 20:
+                rows.append({"metric": "rmse", "param": name,
+                             "value": metrics.rmse(est, truth[p])})
+            rows.append({"metric": "std", "param": name, "value": metrics.std(est)})
+            if est.size >= 20:
                 rows.append({"metric": "std_20hz", "param": name,
-                             "value": series.std_20hz(p)})
+                             "value": metrics.std_20hz(est)})
     if not rows:
         raise BadRangeError("nothing to do: give --clean/--est and/or --series")
     blockio.write_report_csv(args.output, ["metric", "param", "value"], rows)
@@ -310,7 +310,9 @@ def cmd_bench(args) -> Run:
     summary = []
     if args.suite == "table1":
         n = args.n if args.n is not None else max(1, round(5000 * args.scale))
-        m_list = [m for m in args.m_list if 1 <= m <= n]
+        if any(m < 1 for m in args.m_list):
+            raise BadRangeError(f"chunk lengths must be >= 1, got {args.m_list}")
+        m_list = [m for m in args.m_list if m <= n]
         dropped = [m for m in args.m_list if m > n]
         if dropped:
             print(f"dropping chunk lengths {dropped} beyond the {n}-signal track",
@@ -364,7 +366,7 @@ def main(argv=None) -> int:
             {name: str(path) for name, path in run.outputs.items()}, started,
             seeds={"master": args.seed, **run.seeds},
         )
-    except (BadRangeError, ValueError) as exc:
+    except (BadRangeError, ShapeMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
     except AltismoothError as exc:

@@ -5,8 +5,6 @@ All statistics use population (1/N) normalisation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeMismatchError
@@ -65,36 +63,3 @@ def std_20hz(estimates: np.ndarray, window: int = 20) -> float:
     dev = estimates - means[groups]
     return float(np.sqrt(np.mean(dev**2)))
 
-
-@dataclass
-class ParamSeries:
-    """Per-signal parameter estimates with optional ground truth.
-
-    estimates and truth are (N x 3) arrays in (swh, tau, pu) column order.
-    """
-
-    estimates: np.ndarray
-    truth: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.estimates = np.atleast_2d(np.asarray(self.estimates, dtype=float))
-        if self.estimates.shape[1] != 3:
-            raise ValueError("estimates must have three columns (swh, tau, pu)")
-        if self.truth is not None:
-            self.truth = np.atleast_2d(np.asarray(self.truth, dtype=float))
-            if self.truth.shape != self.estimates.shape:
-                raise ShapeMismatchError("truth shape must match estimates")
-
-    def __len__(self) -> int:
-        return self.estimates.shape[0]
-
-    def rmse(self, param: int) -> float:
-        if self.truth is None:
-            raise DegenerateInputError("rmse needs ground truth")
-        return rmse(self.estimates[:, param], self.truth[:, param])
-
-    def std(self, param: int) -> float:
-        return std(self.estimates[:, param])
-
-    def std_20hz(self, param: int, window: int = 20) -> float:
-        return std_20hz(self.estimates[:, param], window)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brown import BrownConstants, waveform_block
+from .brown import BrownConstants, BrownParams, waveform_block
 from .errors import BadRangeError, ShapeMismatchError
 
 TRAJECTORY_KINDS = ("constant", "smooth-random", "file")
@@ -58,35 +58,6 @@ class NoiseSpec:
         var = np.asarray(0.0 if self.noise_var is None else self.noise_var, dtype=float)
         if not (np.all(np.isfinite(var)) and np.all(var >= 0)):
             raise ValueError("noise_var must be finite and >= 0")
-
-
-class ParamTrajectory:
-    """M-length sequence of waveform parameters plus the seed that made it."""
-
-    def __init__(self, swh, tau, pu, seed: int = 0):
-        self.swh = np.asarray(swh, dtype=float)
-        self.tau = np.asarray(tau, dtype=float)
-        self.pu = np.asarray(pu, dtype=float)
-        self.seed = seed
-        if not (self.swh.shape == self.tau.shape == self.pu.shape):
-            raise ValueError("swh, tau, pu must have equal lengths")
-        if self.swh.ndim != 1 or self.swh.size < 1:
-            raise ValueError("trajectory must be a non-empty 1-D sequence")
-        if not np.isfinite([self.swh, self.tau, self.pu]).all():
-            raise BadRangeError("swh, tau and pu must be finite")
-        if np.any(self.swh < 0) or np.any(self.pu < 0):
-            raise BadRangeError("swh and pu must be non-negative")
-
-    def __len__(self) -> int:
-        return self.swh.size
-
-    def max_step(self) -> np.ndarray:
-        """Largest per-parameter consecutive step (0 for length-1 tracks)."""
-        if len(self) == 1:
-            return np.zeros(3)
-        return np.array(
-            [np.abs(np.diff(a)).max() for a in (self.swh, self.tau, self.pu)]
-        )
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx) and
@@ -172,15 +143,16 @@ def make_trajectory(
     seed: int = 0,
     path=None,
     consts: BrownConstants | None = None,
-) -> ParamTrajectory:
-    """Build a parameter trajectory.
+) -> BrownParams:
+    """Build a parameter trajectory: a BrownParams batch of num_signals triplets.
 
     kind='constant' replicates the (swh, tau, pu) triplet; 'smooth-random'
-    draws one smooth series per parameter inside the given (lo, hi) ranges;
-    'file' loads a trajectory CSV written by the generator (see blockio) and
-    rejects one whose step exceeds STEP_CAP_FRAC of its span; generated
-    tracks are smooth by construction and skip that check.  tau is in meters
-    everywhere.
+    draws one smooth series per parameter inside the given (lo, hi) ranges,
+    from ``seed``; 'file' loads a trajectory CSV written by the generator
+    (see blockio) and rejects one whose step exceeds STEP_CAP_FRAC of its
+    span; generated tracks are smooth by construction and skip that check.
+    Every value must be finite and swh, pu non-negative; with ``consts``,
+    tau must lie in the observation window.  tau is in meters everywhere.
     """
     if kind not in TRAJECTORY_KINDS:
         raise ValueError(f"kind must be one of {TRAJECTORY_KINDS}")
@@ -191,7 +163,7 @@ def make_trajectory(
         if swh is None or tau is None or pu is None:
             raise ValueError("constant trajectory needs swh, tau and pu")
         ones = np.ones(num_signals)
-        traj = ParamTrajectory(swh * ones, tau * ones, pu * ones, seed=seed)
+        series = (swh * ones, tau * ones, pu * ones)
     elif kind == "smooth-random":
         if swh_range is None or tau_range is None or pu_range is None:
             raise ValueError("smooth-random trajectory needs the three ranges")
@@ -200,41 +172,42 @@ def make_trajectory(
         pu_lo, pu_hi = _check_range("pu", pu_range, lo_bound=0.0)
         ss = np.random.SeedSequence(seed)
         rngs = [np.random.default_rng(child) for child in ss.spawn(3)]
-        traj = ParamTrajectory(
+        series = (
             _smooth_series(rngs[0], num_signals, swh_lo, swh_hi),
             _smooth_series(rngs[1], num_signals, tau_lo, tau_hi),
             _smooth_series(rngs[2], num_signals, pu_lo, pu_hi),
-            seed=seed,
         )
     else:
         if path is None:
             raise ValueError("file trajectory needs a path")
         from .blockio import read_trajectory_csv
 
-        swh_arr, tau_arr, pu_arr = read_trajectory_csv(path)
-        if swh_arr.size != num_signals:
+        series = read_trajectory_csv(path)
+        if series[0].size != num_signals:
             raise BadRangeError(
-                f"trajectory file holds {swh_arr.size} rows, expected {num_signals}"
+                f"trajectory file holds {series[0].size} rows, expected {num_signals}"
             )
-        traj = ParamTrajectory(swh_arr, tau_arr, pu_arr, seed=seed)
 
+    series = np.array(series, dtype=float)  # 3 x num_signals: swh, tau, pu
+    if not np.isfinite(series).all():
+        raise BadRangeError("swh, tau and pu must be finite")
+    if np.any(series[0] < 0) or np.any(series[2] < 0):
+        raise BadRangeError("swh and pu must be non-negative")
     if consts is not None:
-        if np.any(traj.tau < 0) or np.any(traj.tau > consts.window_meters):
+        if np.any(series[1] < 0) or np.any(series[1] > consts.window_meters):
             raise BadRangeError("tau leaves the observation window")
-
     if kind == "file":
-        spans = np.array([a.max() - a.min() for a in (traj.swh, traj.tau, traj.pu)])
         # Constant tracks have zero span and zero steps; keep the cap positive.
-        caps = STEP_CAP_FRAC * np.maximum(spans, 1e-12)
-        steps = traj.max_step()
+        caps = STEP_CAP_FRAC * np.maximum(np.ptp(series, axis=1), 1e-12)
+        steps = np.abs(np.diff(series, axis=1)).max(axis=1, initial=0.0)
         if np.any(steps > caps):
             raise BadRangeError(
                 f"trajectory steps {steps} exceed smoothness caps {caps}"
             )
-    return traj
+    return BrownParams(*series)
 
 
-def clean_block(traj: ParamTrajectory, consts: BrownConstants) -> np.ndarray:
+def clean_block(traj: BrownParams, consts: BrownConstants) -> np.ndarray:
     """K x M block of noiseless waveforms for a trajectory."""
     return waveform_block(traj.swh, traj.tau, traj.pu, consts)
 

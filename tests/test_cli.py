@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from altismooth import SolverConfig, blockio, denoise_stream, fit_block, jason2_like
+from altismooth import (SolverConfig, blockio, denoise_stream, fit_block, jason2_like,
+                        make_trajectory)
 from altismooth.cli import _solver_config, build_parser, main
 
 
@@ -206,6 +207,24 @@ class TestDenoiseEstimateMetrics:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [("--clean", "--est"), ("--series", "--truth")],
+                             ids=["blocks", "series"])
+    def test_mismatched_inputs_exit_two(self, tmp_path, capsys, flags):
+        # 30 signals against 40 is bad input, not a numerical failure
+        first, second = tmp_path / "a", tmp_path / "b"
+        for path, n in ((first, 30), (second, 40)):
+            if flags[0] == "--clean":
+                blockio.write_block(path, np.ones((104, n)))
+            else:
+                traj = make_trajectory("constant", n, swh=2.0, tau=14.5, pu=130.0)
+                blockio.write_trajectory_csv(path, traj)
+        capsys.readouterr()
+        code = run("metrics", flags[0], first, flags[1], second, "--output", tmp_path / "m.csv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+
     def test_missing_input_exits_four(self, tmp_path):
         code = run("denoise", "--input", tmp_path / "absent.blk",
                    "--output", tmp_path / "out.blk")
@@ -349,7 +368,9 @@ class TestManifestContract:
         (["denoise", "--input", "{d}/nan.blk", "--output", "{d}/out.blk"], 3),
         (["generate", "--n", 8, "--traj", "constant", "--pu", 0, "--out-dir", "{d}/out"], 3),
         (["denoise", "--input", "{d}/absent.blk", "--output", "{d}/out.blk"], 4),
-    ], ids=["bad-range", "non-finite-block", "zero-energy", "missing-input"])
+        (["bench", "--suite", "table1", "--n", 10, "--m-list=-5,5", "--out", "{d}/out"], 2),
+    ], ids=["bad-range", "non-finite-block", "zero-energy", "missing-input",
+            "negative-chunk"])
     def test_failed_run_writes_no_manifest(self, tmp_path, argv, code):
         poisoned = np.ones((104, 8))
         poisoned[50, 3] = np.nan

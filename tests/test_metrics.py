@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from altismooth import DegenerateInputError, ShapeMismatchError
-from altismooth.metrics import ParamSeries, rmse, rsnr, std, std_20hz
+from altismooth.metrics import rmse, rsnr, std, std_20hz
 
 
 class TestRsnr:
@@ -36,6 +36,10 @@ class TestRmseStd:
     def test_constant_bias(self):
         x = np.linspace(0, 1, 9)
         assert rmse(x + 0.25, x) == pytest.approx(0.25, rel=1e-14)
+
+    def test_rmse_length_mismatch_raises(self):
+        with pytest.raises(ShapeMismatchError):
+            rmse(np.zeros(5), np.zeros(4))
 
     def test_std_of_constant_is_zero(self):
         assert std(np.full(10, 3.3)) == 0.0
@@ -83,26 +87,3 @@ class TestStd20Hz:
         with pytest.raises(ValueError):
             std_20hz(np.ones(19))
 
-
-class TestParamSeries:
-    def test_accessors(self):
-        rng = np.random.default_rng(3)
-        est = rng.normal(0, 1, (40, 3))
-        truth = np.zeros((40, 3))
-        series = ParamSeries(est, truth)
-        assert len(series) == 40
-        for p in range(3):
-            assert series.rmse(p) == pytest.approx(rmse(est[:, p], truth[:, p]))
-            assert series.std(p) == pytest.approx(std(est[:, p]))
-            assert series.std_20hz(p) == pytest.approx(std_20hz(est[:, p]))
-
-    def test_truth_required_for_rmse(self):
-        series = ParamSeries(np.zeros((5, 3)))
-        with pytest.raises(DegenerateInputError):
-            series.rmse(0)
-
-    def test_shape_checks(self):
-        with pytest.raises(ValueError):
-            ParamSeries(np.zeros((5, 2)))
-        with pytest.raises(ShapeMismatchError):
-            ParamSeries(np.zeros((5, 3)), np.zeros((4, 3)))

@@ -3,7 +3,8 @@ import pytest
 
 import altismooth as alt
 from altismooth import BadRangeError, DegenerateInputError, NoiseSpec, rsnr
-from altismooth.simulate import NOISE_MODES, ParamTrajectory, corrupt, make_trajectory
+from altismooth.blockio import write_trajectory_csv
+from altismooth.simulate import NOISE_MODES, corrupt, make_trajectory
 
 from oracles import naive_corrupt
 
@@ -12,7 +13,8 @@ class TestTrajectories:
     def test_constant_replicates_rows(self, consts):
         tau = float(alt.gates_to_meters(31.0, consts))
         traj = make_trajectory("constant", 500, swh=2.0, tau=tau, pu=130.0)
-        assert len(traj) == 500
+        assert isinstance(traj, alt.BrownParams)
+        assert traj.swh.size == 500
         assert np.all(traj.swh == 2.0)
         assert np.all(traj.tau == tau)
         assert np.all(traj.pu == 130.0)
@@ -35,17 +37,20 @@ class TestTrajectories:
             "smooth-random", 2000, swh_range=(3.4, 5.4),
             tau_range=(14.3, 15.0), pu_range=(150.0, 190.0), seed=1,
         )
-        steps = traj.max_step()
+        steps = np.abs(np.diff([traj.swh, traj.tau, traj.pu], axis=1)).max(axis=1)
         spans = np.array([2.0, 0.7, 40.0])
         assert np.all(steps <= 0.05 * spans)  # far below the 25% cap
 
-    def test_single_row_is_trivially_smooth(self):
+    def test_single_row_is_trivially_smooth(self, tmp_path):
         traj = make_trajectory(
             "smooth-random", 1, swh_range=(1.0, 2.0), tau_range=(10.0, 11.0),
             pu_range=(100.0, 110.0), seed=2,
         )
-        assert len(traj) == 1
-        assert np.all(traj.max_step() == 0.0)
+        assert traj.swh.size == 1
+        assert np.diff([traj.swh, traj.tau, traj.pu], axis=1).size == 0
+        # no step at all passes the file kind's step cap
+        write_trajectory_csv(tmp_path / "one.csv", traj)
+        assert make_trajectory("file", 1, path=tmp_path / "one.csv").swh.size == 1
 
     def test_determinism(self):
         kwargs = dict(swh_range=(3.4, 5.4), tau_range=(14.3, 15.0),
@@ -72,15 +77,33 @@ class TestTrajectories:
 
     @pytest.mark.parametrize("field", ["swh", "tau", "pu"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_parameters_raise(self, field, bad):
-        values = {"swh": [2.0, 2.0], "tau": [14.0, 14.0], "pu": [130.0, 130.0]}
-        values[field][1] = bad
+    def test_non_finite_parameters_raise(self, tmp_path, field, bad):
+        values = {"swh": 2.0, "tau": 14.0, "pu": 130.0}
+        bad_row = {**values, field: bad}
         with pytest.raises(BadRangeError, match="finite"):
-            ParamTrajectory(**values)
+            make_trajectory("constant", 2, **bad_row)
+        # a trajectory file with one bad row
+        path = tmp_path / "bad.csv"
+        path.write_text("index,swh_m,tau_m,pu\n"
+                        f"0,{values['swh']},{values['tau']},{values['pu']}\n"
+                        f"1,{bad_row['swh']},{bad_row['tau']},{bad_row['pu']}\n")
+        with pytest.raises(BadRangeError, match="finite"):
+            make_trajectory("file", 2, path=path)
+
+    @pytest.mark.parametrize("kind", ["constant", "smooth-random", "file"])
+    def test_trajectory_is_a_brown_params_batch(self, consts, tmp_path, kind):
+        ranges = dict(swh_range=(3.4, 5.4), tau_range=(14.3, 15.0), pu_range=(150.0, 190.0))
+        source = make_trajectory("smooth-random", 40, seed=5, **ranges)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, source)
+        kwargs = {"constant": dict(swh=2.0, tau=14.5, pu=130.0),
+                  "smooth-random": dict(seed=5, **ranges), "file": dict(path=path)}[kind]
+        traj = make_trajectory(kind, 40, consts=consts, **kwargs)
+        assert isinstance(traj, alt.BrownParams)
+        assert all(a.dtype == float and a.shape == (40,) for a in (traj.swh, traj.tau, traj.pu))
+        assert np.array_equal(alt.brown_waveform(traj, consts), alt.clean_block(traj, consts))
 
     def test_file_round_trip(self, tmp_path):
-        from altismooth.blockio import write_trajectory_csv
-
         traj = make_trajectory("smooth-random", 50, swh_range=(3.4, 5.4),
                                tau_range=(14.3, 15.0), pu_range=(150.0, 190.0),
                                seed=3)
