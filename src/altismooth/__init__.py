@@ -36,12 +36,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .gmrf import VarianceChain
-from .kernels import (
-    CorrelationMatrix,
-    CovarianceBasis,
-    build_correlation,
-    decompose,
-)
+from .kernels import CovarianceBasis, build_correlation, decompose
 from .metrics import rmse, rsnr, std, std_20hz
 from .retrack import FitResult, fit_block, ls_fit, svd_filter, svd_filter_stream
 from .simulate import NoiseSpec, clean_block, corrupt, make_trajectory
@@ -52,7 +47,6 @@ __all__ = [
     "BadRangeError",
     "BrownConstants",
     "BrownParams",
-    "CorrelationMatrix",
     "CovarianceBasis",
     "DegenerateInputError",
     "DivergedError",

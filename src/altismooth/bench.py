@@ -1,6 +1,7 @@
 """Benchmark suites over synthetic tracks.
 
-Three experiments, all fully seeded:
+Three experiments, all fully seeded and denoised with the default
+``SolverConfig``:
 
 * table1: one long smooth-trajectory track, denoised at several chunk
   lengths; reports output RSNR and per-signal wall time per length.
@@ -21,7 +22,7 @@ from .brown import BrownConstants, gates_to_meters, jason2_like
 from .metrics import PARAM_NAMES, rmse, rsnr
 from .retrack import fit_block, svd_filter_stream
 from .simulate import NoiseSpec, clean_block, corrupt, make_trajectory
-from .solver import SolverConfig, denoise_stream
+from .solver import denoise_stream
 
 TABLE1_SWH_RANGE = (3.4, 5.4)
 TABLE1_TAU_RANGE_M = (14.3, 15.0)
@@ -52,10 +53,8 @@ def run_table1(
     looks: float = DEFAULT_LOOKS,
     seed: int = 0,
     consts: BrownConstants | None = None,
-    config: SolverConfig | None = None,
 ) -> dict:
     consts = consts or jason2_like()
-    config = config or SolverConfig()
     traj = make_trajectory(
         "smooth-random",
         num_signals,
@@ -72,7 +71,7 @@ def run_table1(
     rows = []
     for m in m_list:
         start = time.perf_counter()
-        denoised = denoise_stream(noisy, int(m), config)
+        denoised = denoise_stream(noisy, int(m))
         elapsed = time.perf_counter() - start
         rows.append(
             {
@@ -105,17 +104,15 @@ def run_table2(
     looks: float = DEFAULT_LOOKS,
     seed: int = 0,
     consts: BrownConstants | None = None,
-    config: SolverConfig | None = None,
     svd_threshold: float = DEFAULT_SVD_THRESHOLD,
     chunk: int = DEFAULT_CHUNK,
 ) -> dict:
     consts = consts or jason2_like()
-    config = config or SolverConfig()
     rows = []
     for i, swh in enumerate(swh_list):
         _, clean, noisy = _sweep_block(swh, runs, looks, seed, i, consts)
         filtered = svd_filter_stream(noisy, chunk, svd_threshold)
-        denoised = denoise_stream(noisy, chunk, config)
+        denoised = denoise_stream(noisy, chunk)
         rows.append(
             {
                 "swh": float(swh),
@@ -138,12 +135,10 @@ def run_fig4(
     looks: float = DEFAULT_LOOKS,
     seed: int = 0,
     consts: BrownConstants | None = None,
-    config: SolverConfig | None = None,
     svd_threshold: float = DEFAULT_SVD_THRESHOLD,
     chunk: int = DEFAULT_CHUNK,
 ) -> dict:
     consts = consts or jason2_like()
-    config = config or SolverConfig()
     rows = []
     for i, swh in enumerate(swh_list):
         traj, clean, noisy = _sweep_block(swh, runs, looks, seed, i, consts)
@@ -151,7 +146,7 @@ def run_fig4(
         versions = {
             "ls": noisy,
             "svd": svd_filter_stream(noisy, chunk, svd_threshold),
-            "sse": denoise_stream(noisy, chunk, config),
+            "sse": denoise_stream(noisy, chunk),
         }
         row = {"swh": float(swh)}
         for label, block in versions.items():

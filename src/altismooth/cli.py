@@ -41,7 +41,7 @@ class Run:
     outputs: dict[str, Path]
     summary: list[str]  # stdout lines, printed after the manifest is written
     manifest: Path | None = None  # None: <--output>.manifest.json
-    seeds: dict[str, int] = field(default_factory=dict)  # beyond the master seed
+    seeds: dict[str, int] = field(default_factory=dict)  # recorded as given
     args: dict = field(default_factory=dict)  # manifest args beyond the parsed ones
 
 
@@ -60,27 +60,19 @@ def _parse_ints(text: str) -> list[int]:
     return [int(p) for p in text.split(",") if p]
 
 
-def _common_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    # Parsed and ignored, kept only so that argvs recorded in manifests still replay.
-    common.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
-    common.add_argument("--config", type=Path, default=None,
-                        help="constants profile file (default: packaged jason2-like)")
-    common.add_argument("--scale", type=float, default=1.0,
-                        help="Monte-Carlo count scale factor for bench suites")
-    return common
-
-
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_parser()
+    seeded = argparse.ArgumentParser(add_help=False)  # the commands that draw random numbers
+    seeded.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    configured = argparse.ArgumentParser(add_help=False)  # the commands that load constants
+    configured.add_argument("--config", type=Path, default=None,
+                            help="constants profile file (default: packaged jason2-like)")
     parser = argparse.ArgumentParser(
         prog="altismooth",
         description="Smooth-signal denoising and retracking for altimetric waveform tracks.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    gen = sub.add_parser("generate", parents=[common],
+    gen = sub.add_parser("generate", parents=[seeded, configured],
                          help="synthesise clean and noisy waveform blocks")
     gen.add_argument("--n", type=int, required=True, help="number of signals")
     gen.add_argument("--traj", choices=("constant", "smooth-random", "file"),
@@ -103,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-gate variance for additive-gaussian mode")
     gen.add_argument("--out-dir", type=Path, default=Path("."))
 
-    den = sub.add_parser("denoise", parents=[common],
+    den = sub.add_parser("denoise",
                          help="denoise a block file with the coordinate-descent solver")
     den.add_argument("--input", type=Path, required=True)
     den.add_argument("--output", type=Path, required=True)
@@ -116,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     den.add_argument("--emit-cost-trace", type=Path, default=None,
                      help="write a chunk,iteration,cost CSV here")
 
-    est = sub.add_parser("estimate", parents=[common],
+    est = sub.add_parser("estimate", parents=[configured],
                          help="retrack each signal of a block")
     est.add_argument("--input", type=Path, required=True)
     est.add_argument("--output", type=Path, required=True)
@@ -124,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--svd-threshold", type=float, default=bench.DEFAULT_SVD_THRESHOLD)
     est.add_argument("--chunk", type=int, default=bench.DEFAULT_CHUNK)
 
-    met = sub.add_parser("metrics", parents=[common],
+    met = sub.add_parser("metrics",
                          help="evaluate RSNR and parameter error statistics")
     met.add_argument("--clean", type=Path, default=None, help="clean block file")
     met.add_argument("--est", type=Path, default=None, help="estimated block file")
@@ -133,18 +125,16 @@ def build_parser() -> argparse.ArgumentParser:
     met.add_argument("--truth", type=Path, default=None, help="trajectory CSV")
     met.add_argument("--output", type=Path, required=True)
 
-    ben = sub.add_parser("bench", parents=[common],
+    ben = sub.add_parser("bench", parents=[seeded, configured],
                          help="run a reproduction experiment and write its report CSV")
     ben.add_argument("--suite", choices=("table1", "table2", "fig4"), required=True)
     ben.add_argument("--out", type=Path, required=True, help="output directory")
-    ben.add_argument("--n", type=int, default=None,
-                     help="table1 track length (default 5000 * scale)")
+    ben.add_argument("--n", type=int, default=5000, help="table1 track length")
     ben.add_argument("--m-list", type=_parse_ints,
                      default=list(bench.TABLE1_M_LIST))
     ben.add_argument("--swh-list", type=_parse_floats,
                      default=list(bench.SWEEP_SWH_LIST))
-    ben.add_argument("--runs", type=int, default=None,
-                     help="Monte-Carlo runs per SWH (default 500 * scale)")
+    ben.add_argument("--runs", type=int, default=500, help="Monte-Carlo runs per SWH")
     ben.add_argument("--looks", type=float, default=bench.DEFAULT_LOOKS)
     ben.add_argument("--svd-threshold", type=float, default=bench.DEFAULT_SVD_THRESHOLD)
     ben.add_argument("--chunk", type=int, default=bench.DEFAULT_CHUNK)
@@ -218,7 +208,7 @@ def cmd_generate(args) -> Run:
     summary = [f"wrote {clean.shape[0]}x{clean.shape[1]} blocks to {out_dir}",
                f"input RSNR: {input_rsnr:.2f} dB"]
     return Run(paths, summary, manifest=out_dir / "generate.manifest.json",
-               seeds={"noise": spec.seed})
+               seeds={"master": args.seed, "noise": spec.seed})
 
 
 def cmd_denoise(args) -> Run:
@@ -279,6 +269,8 @@ def cmd_metrics(args) -> Run:
     rows = []
     if (args.clean is None) != (args.est is None):
         raise BadRangeError("--clean and --est must be given together")
+    if args.truth is not None and args.series is None:
+        raise BadRangeError("--truth needs --series")
     if args.clean is not None:
         clean = blockio.read_block(args.clean)
         est = blockio.read_block(args.est)
@@ -293,7 +285,7 @@ def cmd_metrics(args) -> Run:
                 rows.append({"metric": "rmse", "param": name,
                              "value": metrics.rmse(est, truth[p])})
             rows.append({"metric": "std", "param": name, "value": metrics.std(est)})
-            if est.size >= 20:
+            if est.size >= metrics.WINDOW_20HZ:
                 rows.append({"metric": "std_20hz", "param": name,
                              "value": metrics.std_20hz(est)})
     if not rows:
@@ -305,36 +297,29 @@ def cmd_metrics(args) -> Run:
 
 def cmd_bench(args) -> Run:
     consts = _constants(args)
-    config = SolverConfig()
-    args.out.mkdir(parents=True, exist_ok=True)
     summary = []
     if args.suite == "table1":
-        n = args.n if args.n is not None else max(1, round(5000 * args.scale))
         if any(m < 1 for m in args.m_list):
             raise BadRangeError(f"chunk lengths must be >= 1, got {args.m_list}")
-        m_list = [m for m in args.m_list if m <= n]
-        dropped = [m for m in args.m_list if m > n]
+        m_list = [m for m in args.m_list if m <= args.n]
+        dropped = [m for m in args.m_list if m > args.n]
         if dropped:
-            print(f"dropping chunk lengths {dropped} beyond the {n}-signal track",
+            print(f"dropping chunk lengths {dropped} beyond the {args.n}-signal track",
                   file=sys.stderr)
         if not m_list:
-            raise BadRangeError(f"no chunk length in {args.m_list} fits n={n}")
-        result = bench.run_table1(n, m_list, args.looks, args.seed, consts, config)
+            raise BadRangeError(f"no chunk length in {args.m_list} fits n={args.n}")
+        result = bench.run_table1(args.n, m_list, args.looks, args.seed, consts)
         fields = ["filter_length", "rsnr_db", "ms_per_signal"]
         summary.append(f"input RSNR: {result['input_rsnr_db']:.2f} dB")
     else:
-        runs = args.runs if args.runs is not None else max(1, round(500 * args.scale))
         if args.suite == "table2":
-            result = bench.run_table2(args.swh_list, runs, args.looks, args.seed,
-                                      consts, config, args.svd_threshold,
-                                      args.chunk)
-            fields = ["swh", "rsnr_svd", "rsnr_sse"]
+            suite, fields = bench.run_table2, ["swh", "rsnr_svd", "rsnr_sse"]
         else:
-            result = bench.run_fig4(args.swh_list, runs, args.looks, args.seed,
-                                    consts, config, args.svd_threshold,
-                                    args.chunk)
-            fields = bench.FIG4_FIELDS
+            suite, fields = bench.run_fig4, bench.FIG4_FIELDS
+        result = suite(args.swh_list, args.runs, args.looks, args.seed, consts,
+                       args.svd_threshold, args.chunk)
 
+    args.out.mkdir(parents=True, exist_ok=True)  # not before: a rejected run leaves none
     report = args.out / f"{args.suite}.csv"
     blockio.write_report_csv(report, fields, result["rows"])
     for row in result["rows"]:
@@ -342,6 +327,7 @@ def cmd_bench(args) -> Run:
                                 for f in fields))
     summary.append(f"report written to {report}")
     return Run({"report": report}, summary, manifest=args.out / f"{args.suite}.manifest.json",
+               seeds={"master": args.seed},
                args={k: v for k, v in result.items() if k != "rows"})
 
 
@@ -364,7 +350,7 @@ def main(argv=None) -> int:
             run.manifest or Path(f"{args.output}.manifest.json"), args.subcommand,
             {"argv": argv, **_manifest_args(args), **run.args},
             {name: str(path) for name, path in run.outputs.items()}, started,
-            seeds={"master": args.seed, **run.seeds},
+            seeds=run.seeds,
         )
     except (BadRangeError, ShapeMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 VARIANCE_FLOOR = 1e-20
+AUX_INIT = 1e-12
 
 
 @dataclass
@@ -113,10 +114,8 @@ def chain_cost_terms(
     return float(terms.sum() - ((two_c - 1.0) * np.log(aux)).sum())
 
 
-def initial_chain(
-    variances: np.ndarray, coupling: float, aux_init: float = 1e-12
-) -> VarianceChain:
-    """Build a chain with floored variances and constant auxiliary init."""
+def initial_chain(variances: np.ndarray, coupling: float) -> VarianceChain:
+    """Build a chain with floored variances and every auxiliary at AUX_INIT."""
     v = np.maximum(np.asarray(variances, dtype=float), VARIANCE_FLOOR)
-    aux = np.full_like(v, aux_init)
+    aux = np.full_like(v, AUX_INIT)
     return VarianceChain(variances=v, aux=aux, coupling=coupling)

@@ -1,7 +1,8 @@
 """Squared-exponential correlation kernel and its spectral machinery.
 
 The smoothness prior on each gate's M-sample evolution uses the correlation
-matrix C(m, m') = exp(-(m - m')^2 / lengthscale^2) plus a diagonal jitter.
+matrix C(m, m') = exp(-(m - m')^2 / lengthscale^2) plus the constant
+diagonal jitter JITTER.
 All per-iteration solves reduce to diagonal shrinkage in the eigenbasis of
 the inverse correlation, so the expensive factorisation happens once.
 
@@ -22,20 +23,7 @@ import scipy.linalg
 from .errors import NotPositiveDefiniteError
 
 DEFAULT_LENGTHSCALE = 30.0
-DEFAULT_JITTER = 1e-8
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Dense SE correlation matrix with its construction parameters."""
-
-    values: np.ndarray
-    lengthscale: float
-    jitter: float
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
+JITTER = 1e-8
 
 
 @dataclass(frozen=True)
@@ -56,28 +44,23 @@ class CovarianceBasis:
         return self.vectors.shape[0]
 
 
-def build_correlation(
-    num_signals: int,
-    lengthscale: float = DEFAULT_LENGTHSCALE,
-    jitter: float = DEFAULT_JITTER,
-) -> CorrelationMatrix:
-    """Build the SE correlation matrix over sample indices 0..M-1.
+def build_correlation(num_signals: int, lengthscale: float = DEFAULT_LENGTHSCALE) -> np.ndarray:
+    """The jittered SE correlation matrix over sample indices 0..M-1.
 
     Positive definiteness is not checked here: ``decompose`` raises
-    NotPositiveDefiniteError when the jittered matrix has a non-positive
-    eigenvalue (jitter too small for this M/lengthscale).
+    NotPositiveDefiniteError when the matrix has a non-positive eigenvalue.
     """
     if num_signals < 1:
         raise ValueError("num_signals must be >= 1")
-    if lengthscale <= 0 or jitter < 0:
-        raise ValueError("need lengthscale > 0 and jitter >= 0")
+    if lengthscale <= 0:
+        raise ValueError("need lengthscale > 0")
     idx = np.arange(num_signals, dtype=float)
-    values = scipy.linalg.toeplitz(np.exp(-((idx / lengthscale) ** 2)))
-    values.flat[:: num_signals + 1] += jitter
-    return CorrelationMatrix(values=values, lengthscale=lengthscale, jitter=jitter)
+    corr = scipy.linalg.toeplitz(np.exp(-((idx / lengthscale) ** 2)))
+    corr.flat[:: num_signals + 1] += JITTER
+    return corr
 
 
-def decompose(corr: CorrelationMatrix) -> CovarianceBasis:
+def decompose(corr: np.ndarray) -> CovarianceBasis:
     """Eigendecompose the inverse correlation matrix.
 
     C is symmetric Toeplitz, hence centrosymmetric (J C J = C, J the
@@ -89,13 +72,13 @@ def decompose(corr: CorrelationMatrix) -> CovarianceBasis:
     antisymmetric modes [x; -Jx] / sqrt(2) from C11 - C12 J.  Both fill one
     M x M basis in ascending kernel order.
 
-    Kernel eigenvalues below jitter/10 are floored there before
+    Kernel eigenvalues below JITTER/10 are floored there before
     reciprocation; those directions are already jitter-dominated and the
     floor only prevents overflow of their precision values.
     """
-    size = corr.size
+    size = corr.shape[0]
     half, odd = divmod(size, 2)
-    upper = corr.values[: half + odd]
+    upper = corr[: half + odd]
     flipped = upper[:half, ::-1][:, :half]
     sym = upper[:, : half + odd].copy()  # eigh reads its lower triangle
     sym[:half, :half] += flipped
@@ -117,9 +100,7 @@ def decompose(corr: CorrelationMatrix) -> CovarianceBasis:
         vectors[: len(vecs), cols] = vecs
         vecs *= sign
         vectors[size - half :, cols] = vecs[:half][::-1]
-    eigvals = eigvals[order]  # ascending, so the precision eigenvalues descend
-    if corr.jitter > 0:
-        eigvals = np.maximum(eigvals, corr.jitter / 10.0)
+    eigvals = np.maximum(eigvals[order], JITTER / 10.0)  # ascending: precisions descend
     return CovarianceBasis(vectors=vectors, precision_eigvals=1.0 / eigvals)
 
 

@@ -10,6 +10,7 @@ import numpy as np
 from .errors import DegenerateInputError, ShapeMismatchError
 
 PARAM_NAMES = ("swh", "tau", "pu")
+WINDOW_20HZ = 20  # samples per second of 20 Hz waveforms
 
 
 def rsnr(clean: np.ndarray, estimate: np.ndarray) -> float:
@@ -44,20 +45,18 @@ def std(estimates: np.ndarray) -> float:
     return float(np.sqrt(np.mean((estimates - estimates.mean()) ** 2)))
 
 
-def std_20hz(estimates: np.ndarray, window: int = 20) -> float:
+def std_20hz(estimates: np.ndarray) -> float:
     """Standard deviation about per-window means.
 
-    Windows are consecutive, non-overlapping, of the given length; a trailing
-    partial window uses its own mean.  Deviations from all N samples are
-    pooled with 1/N weight.
+    Windows are consecutive and non-overlapping, WINDOW_20HZ samples long; a
+    trailing partial window uses its own mean.  Deviations from all N samples
+    are pooled with 1/N weight.
     """
     estimates = np.asarray(estimates, dtype=float)
     n = estimates.size
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if n < window:
-        raise ValueError(f"need at least window={window} samples, got {n}")
-    groups = np.arange(n) // window
+    if n < WINDOW_20HZ:
+        raise ValueError(f"need at least {WINDOW_20HZ} samples, got {n}")
+    groups = np.arange(n) // WINDOW_20HZ
     counts = np.bincount(groups)
     means = np.bincount(groups, weights=estimates) / counts
     dev = estimates - means[groups]

@@ -46,7 +46,6 @@ from .kernels import (
 )
 
 ENERGY_VAR_INIT = 10.0
-AUX_INIT = 1e-12
 MODE_CUTOFF = 1e-8  # kept modes: kernel eigenvalue >= MODE_CUTOFF * largest
 
 
@@ -101,7 +100,7 @@ def _initial_state(block: np.ndarray, config: SolverConfig) -> VarianceChain:
     """The noise (row 0) and energy (row 1) chains, stacked as one 2 x K chain."""
     start = np.full((2, block.shape[0]), ENERGY_VAR_INIT)
     start[0] = block.mean(axis=1)
-    return gmrf.initial_chain(start, np.array([config.zeta, config.eta]), AUX_INIT)
+    return gmrf.initial_chain(start, np.array([config.zeta, config.eta]))
 
 
 def _sweep(weighted, tail, kept, num_signals, chain):

@@ -236,7 +236,7 @@ def test_criterion_6_fast_path_equals_dense_solve():
         worst = 0.0
         for i in range(100):
             dense = oracles.dense_posterior_mean(rows[i], noise_var[i],
-                                                 energy_var[i], corr.values)
+                                                 energy_var[i], corr)
             worst = max(worst, np.linalg.norm(fast[i] - dense)
                         / max(np.linalg.norm(dense), 1e-300))
         c.check(worst <= 1e-8,

@@ -246,14 +246,6 @@ class TestDenoiseEstimateMetrics:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
-    def test_threads_flag_is_ignored(self, generated):
-        plain, threaded = generated / "plain.blk", generated / "threaded.blk"
-        assert run("denoise", "--input", generated / "noisy.blk",
-                   "--output", plain, "--chunk", 24) == 0
-        assert run("denoise", "--input", generated / "noisy.blk",
-                   "--output", threaded, "--chunk", 24, "--threads", 4) == 0
-        assert plain.read_bytes() == threaded.read_bytes()
-
     def test_non_finite_block_exits_three(self, tmp_path):
         poisoned = np.ones((104, 8))
         poisoned[50, 3] = np.nan
@@ -294,6 +286,7 @@ class TestBench:
             rows = list(csv.DictReader(fh))
         assert [r["filter_length"] for r in rows] == ["40", "120"]
         manifest = blockio.read_manifest(tmp_path / "table1.manifest.json")
+        assert manifest["args"]["n"] == 120
         assert manifest["args"]["input_rsnr_db"] == pytest.approx(19.55, abs=1.5)
 
     def test_fig4_mini(self, tmp_path):
@@ -312,13 +305,14 @@ class TestBench:
                        "--swh-list", "2", "--runs", 25, "--seed", 11) == 0
         assert digest(a_dir / "table2.csv") == digest(b_dir / "table2.csv")
 
-    def test_scale_flag_sets_runs(self, tmp_path):
-        code = run("bench", "--suite", "table2", "--out", tmp_path,
-                   "--swh-list", "2", "--scale", 0.02, "--seed", 0)
-        assert code == 0
+    @pytest.mark.parametrize("flags, runs", [((), 500), (("--runs", 30), 30)],
+                             ids=["default", "given"])
+    def test_manifest_records_runs_used(self, tmp_path, flags, runs):
+        assert run("bench", "--suite", "table2", "--out", tmp_path,
+                   "--swh-list", "2", *flags) == 0
         manifest = blockio.read_manifest(tmp_path / "table2.manifest.json")
-        assert manifest["args"]["runs"] is None  # derived from scale
-        assert manifest["args"]["scale"] == pytest.approx(0.02)
+        assert manifest["args"]["runs"] == runs
+        assert manifest["args"]["n"] == 5000
 
 
 def _contract_run(subcommand, src, d):
@@ -356,10 +350,10 @@ class TestManifestContract:
         manifest = blockio.read_manifest(path)
         assert manifest["subcommand"] == subcommand
         assert manifest["args"]["argv"] == [str(a) for a in argv]
-        master = int(argv[argv.index("--seed") + 1]) if "--seed" in argv else 0
-        expected_seeds = {"master", "noise"} if subcommand == "generate" else {"master"}
-        assert set(manifest["seeds"]) == expected_seeds
-        assert manifest["seeds"]["master"] == master
+        expected_seeds = {"generate": {"master", "noise"}, "bench": {"master"}}
+        assert set(manifest["seeds"]) == expected_seeds.get(subcommand, set())
+        if "--seed" in argv:
+            assert manifest["seeds"]["master"] == int(argv[argv.index("--seed") + 1])
         assert set(manifest["outputs"]) == roles
         assert all(Path(out).is_file() for out in manifest["outputs"].values())
 
@@ -369,15 +363,32 @@ class TestManifestContract:
         (["generate", "--n", 8, "--traj", "constant", "--pu", 0, "--out-dir", "{d}/out"], 3),
         (["denoise", "--input", "{d}/absent.blk", "--output", "{d}/out.blk"], 4),
         (["bench", "--suite", "table1", "--n", 10, "--m-list=-5,5", "--out", "{d}/out"], 2),
+        (["bench", "--suite", "table1", "--n", 10, "--m-list=20", "--out", "{d}/out"], 2),
+        (["metrics", "--clean", "{d}/nan.blk", "--est", "{d}/nan.blk",
+          "--truth", "{d}/truth.csv", "--output", "{d}/m.csv"], 2),
     ], ids=["bad-range", "non-finite-block", "zero-energy", "missing-input",
-            "negative-chunk"])
+            "negative-chunk", "chunk-beyond-track", "truth-without-series"])
     def test_failed_run_writes_no_manifest(self, tmp_path, argv, code):
         poisoned = np.ones((104, 8))
         poisoned[50, 3] = np.nan
         blockio.write_block(tmp_path / "nan.blk", poisoned)
         assert run(*(str(a).format(d=tmp_path) for a in argv)) == code
-        # no manifest, and no output either: only the test's own input is left
-        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["nan.blk"]
+        # no manifest, no output and no output directory: only the test's own input is left
+        assert [p.name for p in tmp_path.rglob("*")] == ["nan.blk"]
+
+
+_MINIMAL_ARGVS = {
+    "generate": ["generate", "--n", "4"],
+    "denoise": ["denoise", "--input", "a", "--output", "b"],
+    "estimate": ["estimate", "--input", "a", "--output", "b"],
+    "metrics": ["metrics", "--output", "b"],
+    "bench": ["bench", "--suite", "table1", "--out", "d"],
+}
+_UNREAD_OPTIONS = [
+    ("denoise", "--seed", "1"), ("estimate", "--seed", "1"), ("metrics", "--seed", "1"),
+    ("denoise", "--config", "x"), ("metrics", "--config", "x"),
+    *[(sub, flag, "2") for sub in _MINIMAL_ARGVS for flag in ("--threads", "--scale")],
+]
 
 
 class TestParser:
@@ -389,6 +400,16 @@ class TestParser:
     def test_denoise_defaults_are_solver_defaults(self):
         args = build_parser().parse_args(["denoise", "--input", "a", "--output", "b"])
         assert _solver_config(args) == SolverConfig()
+
+    @pytest.mark.parametrize("subcommand, flag, value", _UNREAD_OPTIONS,
+                             ids=[f"{sub}{flag}" for sub, flag, _ in _UNREAD_OPTIONS])
+    def test_unread_option_exits_two(self, capsys, subcommand, flag, value):
+        argv = _MINIMAL_ARGVS[subcommand]
+        build_parser().parse_args(argv)  # valid without the flag
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from altismooth import CorrelationMatrix, NotPositiveDefiniteError, build_correlation, decompose
-from altismooth.kernels import shrinkage_filter
+from altismooth import NotPositiveDefiniteError, build_correlation, decompose
+from altismooth.kernels import JITTER, shrinkage_filter
 from altismooth.solver import MODE_CUTOFF
 
 import oracles
@@ -30,59 +30,57 @@ def random_tuple(rng, size):
 
 class TestBuildCorrelation:
     def test_singleton(self):
-        corr = build_correlation(1, jitter=1e-8)
-        assert corr.values.shape == (1, 1)
-        assert corr.values[0, 0] == pytest.approx(1.0 + 1e-8, rel=0, abs=1e-18)
+        corr = build_correlation(1)
+        assert corr.shape == (1, 1)
+        assert corr[0, 0] == pytest.approx(1.0 + 1e-8, rel=0, abs=1e-18)
 
     def test_entries_at_lag_thirty(self):
-        corr = build_correlation(64, lengthscale=30.0, jitter=1e-8)
-        assert corr.values[0, 0] == pytest.approx(1.0 + 1e-8, rel=1e-15)
-        assert corr.values[0, 30] == pytest.approx(np.exp(-1.0), rel=1e-15)
-        assert np.array_equal(corr.values, corr.values.T)
+        corr = build_correlation(64, lengthscale=30.0)
+        assert corr[0, 0] == pytest.approx(1.0 + 1e-8, rel=1e-15)
+        assert corr[0, 30] == pytest.approx(np.exp(-1.0), rel=1e-15)
+        assert np.array_equal(corr, corr.T)
 
     def test_large_matrix_factorises_with_jitter(self):
-        corr = build_correlation(500, lengthscale=30.0, jitter=1e-8)
+        corr = build_correlation(500, lengthscale=30.0)
         # condition number before jitter is astronomic; with it, bounded
-        eigvals = np.linalg.eigvalsh(corr.values)
+        eigvals = np.linalg.eigvalsh(corr)
         assert eigvals[0] > 0
         assert eigvals[-1] / eigvals[0] < 1e11
 
     @pytest.mark.parametrize("size", [1, 64, 500])
     def test_matches_dense_lag_formula_bit_for_bit(self, size):
-        for lengthscale, jitter in ((30.0, 1e-8), (7.3, 0.0), (1.5, 1e-3)):
-            corr = build_correlation(size, lengthscale=lengthscale, jitter=jitter)
-            want = oracles.dense_correlation(size, lengthscale, jitter)
-            assert np.array_equal(corr.values, want)
+        for lengthscale in (30.0, 7.3, 1.5):
+            corr = build_correlation(size, lengthscale=lengthscale)
+            want = oracles.dense_correlation(size, lengthscale, JITTER)
+            assert np.array_equal(corr, want)
 
     def test_zero_jitter_fails_at_scale(self):
         with pytest.raises(NotPositiveDefiniteError):
-            decompose(build_correlation(400, lengthscale=30.0, jitter=0.0))
+            decompose(oracles.dense_correlation(400, 30.0, 0.0))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
             build_correlation(0)
         with pytest.raises(ValueError):
             build_correlation(5, lengthscale=-1.0)
-        with pytest.raises(ValueError):
-            build_correlation(5, jitter=-1e-9)
 
 
 class TestDecompose:
     def test_identity_dominant_limit(self):
         # jitter-dominated diagonal matrix behaves like the identity
-        corr = build_correlation(1, jitter=1e-8)
+        corr = build_correlation(1)
         basis = decompose(corr)
         assert basis.precision_eigvals[0] == pytest.approx(1.0 / (1.0 + 1e-8), rel=1e-14)
 
     def test_orthonormal_and_reconstructs(self):
-        corr = build_correlation(200, lengthscale=30.0, jitter=1e-8)
+        corr = build_correlation(200, lengthscale=30.0)
         basis = decompose(corr)
         gram = basis.vectors.T @ basis.vectors
         assert np.abs(gram - np.eye(200)).max() <= 1e-10
         # V diag(r) V^T against the LU-route inverse; both routes carry
         # O(cond * eps) ~ 1e-6 fuzz at cond ~ 5e9, so the comparison can
         # only certify agreement down to that floor, not below it
-        inv = np.linalg.solve(corr.values, np.eye(200))
+        inv = np.linalg.solve(corr, np.eye(200))
         rebuilt = (basis.vectors * basis.precision_eigvals) @ basis.vectors.T
         rel = np.linalg.norm(rebuilt - inv) / np.linalg.norm(inv)
         assert rel <= 1e-5
@@ -90,17 +88,17 @@ class TestDecompose:
     def test_reconstructs_exactly_when_well_conditioned(self):
         # at sizes where the kernel is honestly invertible the stated 1e-8
         # reconstruction accuracy is met outright
-        corr = build_correlation(4, lengthscale=1.5, jitter=1e-8)
+        corr = build_correlation(4, lengthscale=1.5)
         basis = decompose(corr)
-        inv = np.linalg.solve(corr.values, np.eye(4))
+        inv = np.linalg.solve(corr, np.eye(4))
         rebuilt = (basis.vectors * basis.precision_eigvals) @ basis.vectors.T
         rel = np.linalg.norm(rebuilt - inv) / np.linalg.norm(inv)
         assert rel <= 1e-8
 
     def test_eigenvalues_are_reciprocals(self):
-        corr = build_correlation(120, lengthscale=30.0, jitter=1e-8)
+        corr = build_correlation(120, lengthscale=30.0)
         basis = decompose(corr)
-        kernel_eigs = np.linalg.eigvalsh(corr.values)  # ascending
+        kernel_eigs = np.linalg.eigvalsh(corr)  # ascending
         # eigenvalue agreement is absolute (|err| <~ eps*||H||); tiny
         # jitter-floor eigenvalues therefore only match to cond-limited
         # relative accuracy
@@ -111,7 +109,7 @@ class TestDecompose:
         assert rel.max() <= 1e-8
 
     def test_descending_order_and_idempotence(self):
-        corr = build_correlation(150, lengthscale=30.0, jitter=1e-8)
+        corr = build_correlation(150, lengthscale=30.0)
         a = decompose(corr)
         b = decompose(corr)
         assert np.all(np.diff(a.precision_eigvals) <= 0)
@@ -129,8 +127,8 @@ class TestSplitBasis:
         vectors, kernel_eigs = basis.vectors, 1.0 / basis.precision_eigvals
         assert np.abs(vectors.T @ vectors - np.eye(size)).max() <= 1e-12
         rebuilt = (vectors * kernel_eigs) @ vectors.T
-        assert np.abs(rebuilt - corr.values).max() <= 1e-12
-        full_eigs, full_vectors = scipy.linalg.eigh(corr.values)
+        assert np.abs(rebuilt - corr).max() <= 1e-12
+        full_eigs, full_vectors = scipy.linalg.eigh(corr)
         assert np.all(np.diff(kernel_eigs) >= 0)
         assert np.abs(kernel_eigs - full_eigs).max() <= 1e-12 * full_eigs[-1]
         # every mode is exactly symmetric or antisymmetric under reversal
@@ -149,9 +147,8 @@ class TestSplitBasis:
 
     def test_non_positive_antisymmetric_mode_fails(self):
         # [[1, 2], [2, 1]] has the symmetric mode 3 and the antisymmetric mode -1
-        corr = CorrelationMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]), lengthscale=1.0, jitter=0.0)
         with pytest.raises(NotPositiveDefiniteError):
-            decompose(corr)
+            decompose(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestPosteriorMeanFast:
@@ -192,7 +189,7 @@ class TestPosteriorMeanFast:
             row, noise_var, energy_var = random_tuple(rng, size)
             fast = posterior_mean(row, noise_var, energy_var, basis)
             dense = oracles.dense_posterior_mean(row, noise_var, energy_var,
-                                                 corr.values)
+                                                 corr)
             assert np.linalg.norm(fast - dense) <= 1e-8 * np.linalg.norm(dense)
 
     def test_shrinkage_ordering(self):
@@ -214,7 +211,7 @@ class TestPriorQuadraticForm:
 
     def test_identity_dominant(self):
         # a one-sample chain is its own identity correlation
-        basis = decompose(build_correlation(1, jitter=0.0))
+        basis = decompose(np.ones((1, 1)))
         val = quadratic_form(np.array([3.0]), basis)
         assert val == pytest.approx(9.0, rel=1e-12)
 
@@ -227,9 +224,9 @@ class TestPriorQuadraticForm:
         rng = np.random.default_rng(9)
         for _ in range(20):
             z = rng.normal(0, 2, 50)
-            row = corr.values @ z
-            analytic = float(z @ corr.values @ z)
-            dense = float(row @ np.linalg.solve(corr.values, row))
+            row = corr @ z
+            analytic = float(z @ corr @ z)
+            dense = float(row @ np.linalg.solve(corr, row))
             got = quadratic_form(row, basis)
             assert got == pytest.approx(analytic, rel=1e-8)
             assert got == pytest.approx(dense, rel=1e-8)
@@ -240,7 +237,7 @@ class TestPriorQuadraticForm:
         # every double-precision route has ~cond*eps relative fuzz
         corr = build_correlation(50)
         basis = decompose(corr)
-        inv = np.linalg.solve(corr.values, np.eye(50))
+        inv = np.linalg.solve(corr, np.eye(50))
         rng = np.random.default_rng(10)
         for _ in range(20):
             row = rng.normal(0, 2, 50)

@@ -6,12 +6,7 @@ import pytest
 import altismooth as alt
 from altismooth import NonFiniteError, ShapeMismatchError, SolverConfig, gmrf, solver
 from altismooth.gmrf import VARIANCE_FLOOR, VarianceChain
-from altismooth.kernels import (
-    DEFAULT_JITTER,
-    CovarianceBasis,
-    build_correlation,
-    decompose,
-)
+from altismooth.kernels import JITTER, CovarianceBasis, build_correlation, decompose
 from altismooth.solver import (
     SolverState,
     _initial_state,
@@ -41,7 +36,7 @@ class TestCost:
         # K=1, M=1, y=s=3, all variances and auxiliaries 1, couplings 2:
         # noise side: shape (2 + 0.5 + 1) * log 1 + (0 + 4)/2 = 2
         # energy side: (9 + 4)/2 = 6.5; aux logs vanish => total 8.5
-        basis = decompose(build_correlation(1, jitter=0.0))
+        basis = decompose(np.ones((1, 1)))
         state = SolverState(
             denoised=np.array([[3.0]]),
             noise=VarianceChain(np.array([1.0]), np.array([1.0]), 2.0),
@@ -163,7 +158,7 @@ class TestDenoise:
         K, M = noisy.shape
         idx = np.arange(M, dtype=float)
         corr = np.exp(-((idx[:, None] - idx[None, :]) / config.lengthscale) ** 2)
-        corr[np.diag_indices(M)] += DEFAULT_JITTER
+        corr[np.diag_indices(M)] += JITTER
 
         mean_wave = noisy.mean(axis=1)
         nv = np.maximum(mean_wave, VARIANCE_FLOOR)
