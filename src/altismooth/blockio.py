@@ -22,13 +22,15 @@ MAGIC = b"SSE1"
 _HEADER = struct.Struct("<4sII")
 
 
-def _atomic_write(path, payload: bytes) -> None:
+def _atomic_write(path, *parts) -> None:
+    """Write the parts (bytes, or a block's own buffer) to a temp file renamed to path."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -41,7 +43,7 @@ def write_block(path, block: np.ndarray) -> None:
     if block.ndim != 2:
         raise ValueError("block must be 2-D (gates x signals)")
     header = _HEADER.pack(MAGIC, block.shape[0], block.shape[1])
-    _atomic_write(path, header + block.tobytes())
+    _atomic_write(path, header, block)  # the C-contiguous buffer itself, not a copy
 
 
 def read_block(path) -> np.ndarray:

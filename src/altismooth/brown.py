@@ -30,6 +30,7 @@ _SQRT2 = np.sqrt(2.0)
 _TWO_OVER_SQRTPI = 2.0 / np.sqrt(np.pi)
 
 PROFILE_KEYS = ("alpha", "sigma_p", "c", "gate_resolution", "num_gates")
+WAVEFORM_COLUMNS = 128  # columns per evaluation block of _waveform
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,10 @@ class BrownParams:
     pu: float | np.ndarray
 
     def __post_init__(self):
+        if all(isinstance(x, float) for x in (self.swh, self.tau, self.pu)):
+            if self.swh < 0 or self.pu < 0:  # NaN passes, as in the array path
+                raise ValueError("swh and pu must be non-negative")
+            return
         swh, tau, pu = np.asarray(self.swh), np.asarray(self.tau), np.asarray(self.pu)
         if swh.ndim > 1 or tau.shape != swh.shape or pu.shape != swh.shape:
             raise ValueError("swh, tau and pu must be scalars or equal-length 1-D arrays")
@@ -104,15 +109,15 @@ def sigma_c_sq(params: BrownParams, consts: BrownConstants) -> float:
     return (params.swh / (2.0 * consts.c)) ** 2 + consts.sigma_p**2
 
 
-def _stable_terms(u, v):
-    """Return (1+erf(u))*exp(v) without overflow.
+def _stable_terms(u, v, out=None):
+    """Return (1+erf(u))*exp(v) without overflow, in ``out`` if given.
 
     For u < 0 the product is computed as erfcx(-u)*exp(v - u^2), which stays
     bounded even when exp(v) alone would overflow.  From u = 6 up, erf(u)
     rounds to exactly 1.0 and the product is 2*exp(v).  NaN takes the erf
     branch, so that it reaches the callers' non-finite checks.
     """
-    rise = np.empty_like(u)
+    rise = np.empty_like(u) if out is None else out
     neg, top = u < 0.0, u >= 6.0
     mid = ~(neg | top)
     u_neg = u[neg]
@@ -146,13 +151,20 @@ def _edge_terms(swh, tau, t, consts: BrownConstants):
 
 
 def _waveform(swh, tau, pu, consts: BrownConstants) -> np.ndarray:
-    """K x M model block of validated, broadcastable parameter arrays."""
-    _, _, _, u, v = _edge_terms(np.atleast_1d(np.asarray(swh, dtype=float)),
-                                np.atleast_1d(np.asarray(tau, dtype=float)),
-                                consts.gate_times()[:, None], consts)
-    block = 0.5 * np.atleast_1d(np.asarray(pu, dtype=float)) * _stable_terms(u, v)
-    if not np.isfinite(block).all():
-        raise NonFiniteError("waveform evaluation produced non-finite samples")
+    """K x M model block of validated, broadcastable parameter arrays, evaluated and
+    checked WAVEFORM_COLUMNS columns at a time straight into the block, so that the
+    temporaries stay K x WAVEFORM_COLUMNS; every entry is the same to the bit."""
+    params = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (swh, tau, pu))
+    swh, tau, pu = np.broadcast_arrays(*params)
+    times = consts.gate_times()[:, None]
+    block = np.empty((times.size, swh.size))
+    for start in range(0, swh.size, WAVEFORM_COLUMNS):
+        cols = slice(start, start + WAVEFORM_COLUMNS)
+        part = block[:, cols]
+        _stable_terms(*_edge_terms(swh[cols], tau[cols], times, consts)[3:], out=part)
+        np.multiply(part, 0.5 * pu[cols], out=part)
+        if not np.isfinite(part).all():
+            raise NonFiniteError("waveform evaluation produced non-finite samples")
     return block
 
 

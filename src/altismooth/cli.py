@@ -113,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--input", type=Path, required=True)
     est.add_argument("--output", type=Path, required=True)
     est.add_argument("--method", choices=("ls", "svd-ls", "sse-ls"), default="ls")
-    est.add_argument("--svd-threshold", type=float, default=bench.DEFAULT_SVD_THRESHOLD)
-    est.add_argument("--chunk", type=int, default=bench.DEFAULT_CHUNK)
+    est.add_argument("--svd-threshold", type=float, help="svd-ls only (default 0.84)")
+    est.add_argument("--chunk", type=int, help="svd-ls and sse-ls only (default 500)")
 
     met = sub.add_parser("metrics",
                          help="evaluate RSNR and parameter error statistics")
@@ -129,16 +129,25 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run a reproduction experiment and write its report CSV")
     ben.add_argument("--suite", choices=("table1", "table2", "fig4"), required=True)
     ben.add_argument("--out", type=Path, required=True, help="output directory")
-    ben.add_argument("--n", type=int, default=5000, help="table1 track length")
-    ben.add_argument("--m-list", type=_parse_ints,
-                     default=list(bench.TABLE1_M_LIST))
-    ben.add_argument("--swh-list", type=_parse_floats,
-                     default=list(bench.SWEEP_SWH_LIST))
-    ben.add_argument("--runs", type=int, default=500, help="Monte-Carlo runs per SWH")
+    ben.add_argument("--n", type=int, help="table1 track length (default 5000)")
+    ben.add_argument("--m-list", type=_parse_ints, help="table1 chunk lengths")
+    ben.add_argument("--swh-list", type=_parse_floats, help="table2/fig4 SWHs")
+    ben.add_argument("--runs", type=int, help="table2/fig4 runs per SWH (default 500)")
     ben.add_argument("--looks", type=float, default=bench.DEFAULT_LOOKS)
-    ben.add_argument("--svd-threshold", type=float, default=bench.DEFAULT_SVD_THRESHOLD)
-    ben.add_argument("--chunk", type=int, default=bench.DEFAULT_CHUNK)
+    ben.add_argument("--svd-threshold", type=float, help="table2/fig4 only")
+    ben.add_argument("--chunk", type=int, help="table2/fig4 only")
     return parser
+
+
+def _options_read_by(args, mode: str, **options) -> None:
+    """Default each option {dest: (--<mode> choices that read it, default)} where read,
+    and reject it where given but unread; an unread option stays None, null in manifests."""
+    choice = getattr(args, mode)
+    for name, (readers, default) in options.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default if choice in readers else None)
+        elif choice not in readers:
+            raise BadRangeError(f"--{name.replace('_', '-')} is not read by --{mode} {choice}")
 
 
 def _constants(args) -> BrownConstants:
@@ -235,6 +244,8 @@ def cmd_denoise(args) -> Run:
 
 
 def cmd_estimate(args) -> Run:
+    _options_read_by(args, "method", chunk=(("svd-ls", "sse-ls"), bench.DEFAULT_CHUNK),
+                     svd_threshold=(("svd-ls",), bench.DEFAULT_SVD_THRESHOLD))
     consts = _constants(args)
     block = blockio.read_block(args.input)
     if not np.isfinite(block).all():
@@ -296,6 +307,12 @@ def cmd_metrics(args) -> Run:
 
 
 def cmd_bench(args) -> Run:
+    table1, sweeps = ("table1",), ("table2", "fig4")
+    _options_read_by(args, "suite", n=(table1, 5000), runs=(sweeps, 500),
+                     m_list=(table1, list(bench.TABLE1_M_LIST)),
+                     swh_list=(sweeps, list(bench.SWEEP_SWH_LIST)),
+                     svd_threshold=(sweeps, bench.DEFAULT_SVD_THRESHOLD),
+                     chunk=(sweeps, bench.DEFAULT_CHUNK))
     consts = _constants(args)
     summary = []
     if args.suite == "table1":

@@ -150,7 +150,8 @@ def make_trajectory(
     draws one smooth series per parameter inside the given (lo, hi) ranges,
     from ``seed``; 'file' loads a trajectory CSV written by the generator
     (see blockio) and rejects one whose step exceeds STEP_CAP_FRAC of its
-    span; generated tracks are smooth by construction and skip that check.
+    span, times SMOOTH_WINDOW / num_signals on shorter tracks; generated
+    tracks are smooth by construction and skip that check.
     Every value must be finite and swh, pu non-negative; with ``consts``,
     tau must lie in the observation window.  tau is in meters everywhere.
     """
@@ -197,8 +198,10 @@ def make_trajectory(
         if np.any(series[1] < 0) or np.any(series[1] > consts.window_meters):
             raise BadRangeError("tau leaves the observation window")
     if kind == "file":
-        # Constant tracks have zero span and zero steps; keep the cap positive.
-        caps = STEP_CAP_FRAC * np.maximum(np.ptp(series, axis=1), 1e-12)
+        # Constant tracks have zero span and zero steps; keep the cap positive. Tracks
+        # shorter than SMOOTH_WINDOW take larger steps; up to n = 12 their cap tops the span.
+        caps = (STEP_CAP_FRAC * max(1.0, SMOOTH_WINDOW / num_signals)
+                * np.maximum(np.ptp(series, axis=1), 1e-12))
         steps = np.abs(np.diff(series, axis=1)).max(axis=1, initial=0.0)
         if np.any(steps > caps):
             raise BadRangeError(

@@ -121,6 +121,13 @@ def _sweep(weighted, tail, kept, num_signals, chain):
     return filt, _cost(chain, stats, num_signals)
 
 
+def _kept_modes(basis: CovarianceBasis) -> CovarianceBasis:
+    """The contiguous M x r basis of the kept modes; a kept basis keeps all, uncopied."""
+    prec = basis.precision_eigvals  # descending, so the kept modes trail
+    first = prec.size - int(np.count_nonzero(prec * MODE_CUTOFF <= prec[-1]))
+    return CovarianceBasis(np.ascontiguousarray(basis.vectors[:, first:]), prec[first:])
+
+
 def denoise(
     block: np.ndarray,
     config: SolverConfig | None = None,
@@ -128,8 +135,8 @@ def denoise(
 ) -> SolverState:
     """Denoise one K x M block.
 
-    ``basis`` may be supplied to reuse a precomputed eigenbasis for this M
-    (the stream driver does); otherwise it is built here.
+    ``basis`` may be supplied to reuse a precomputed eigenbasis for this M,
+    full or kept (``denoise_stream`` passes the kept one); else it is built.
     """
     config = config or SolverConfig()
     block = np.asarray(block, dtype=float)
@@ -147,9 +154,7 @@ def denoise(
         )
 
     chain = _initial_state(block, config)
-    prec = basis.precision_eigvals  # descending, so the kept modes trail
-    first = num_signals - int(np.count_nonzero(prec * MODE_CUTOFF <= prec[-1]))
-    kept = CovarianceBasis(basis.vectors[:, first:], prec[first:])
+    kept = _kept_modes(basis)
     coeffs = block @ kept.vectors  # row k holds the kept coefficients of y_k
     weighted = np.empty((2,) + coeffs.shape)  # c**2 and p * c**2, for _sweep
     np.square(coeffs, out=weighted[0])
@@ -171,7 +176,7 @@ def denoise(
         cost_trace=trace,
         iterations=len(trace),
         stop_reason=stop_reason,
-        modes=num_signals - first,
+        modes=kept.vectors.shape[1],
     )
 
 
@@ -191,7 +196,9 @@ def denoise_stream(
     """Denoise a K x N block in independent consecutive chunks of width M.
 
     Chunks run serially (BLAS owns the threading) and share the precomputed
-    eigenbasis for their width; a shorter final chunk gets its own.
+    kept M x r modes for their width; a shorter final chunk gets its own.  A
+    state's ``denoised`` is a view of its slice of the returned track, so the
+    stream holds its output, the kept bases and one chunk's scratch.
     """
     config = config or SolverConfig()
     block = np.asarray(block, dtype=float)
@@ -203,12 +210,15 @@ def denoise_stream(
     for sl in slices:
         width = sl.stop - sl.start
         if width not in bases:
-            bases[width] = decompose(build_correlation(width, config.lengthscale))
-    states = [denoise(block[:, sl], config, bases[sl.stop - sl.start]) for sl in slices]
+            bases[width] = _kept_modes(decompose(build_correlation(width, config.lengthscale)))
 
     out = np.empty_like(block)
-    for sl, state in zip(slices, states):
+    states = []
+    for sl in slices:
+        state = denoise(block[:, sl], config, bases[sl.stop - sl.start])
         out[:, sl] = state.denoised
+        state.denoised = out[:, sl]
+        states.append(state)
     if with_states:
         return out, states
     return out

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,16 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # makes `oracles` importable
 
 from altismooth import jason2_like
+
+
+def peak_bytes(fn, *args):
+    """Peak traced allocation, in bytes, while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -25,6 +25,17 @@ class TestBlockFormat:
         assert len(raw) == 12 + 6 * 8
         assert np.frombuffer(raw[12:], dtype="<f8")[0] == 1.0  # row-major
 
+    def test_file_is_header_then_samples(self, tmp_path):
+        # the samples are written from the block's buffer, in C order and little-endian
+        block = np.random.default_rng(1).normal(size=(104, 37))
+        path = tmp_path / "b.blk"
+        header = b"SSE1" + (104).to_bytes(4, "little") + (37).to_bytes(4, "little")
+        for given in (block, np.asfortranarray(block), block.astype(">f8")):
+            blockio.write_block(path, given)
+            assert path.read_bytes() == header + block.tobytes()
+        blockio.write_block(path, block[:, ::2])
+        assert path.read_bytes()[12:] == np.ascontiguousarray(block[:, ::2]).tobytes()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.blk"
         path.write_bytes(b"NOPE" + b"\x00" * 20)

@@ -8,6 +8,7 @@ from altismooth import (
     BrownConstants,
     BrownParams,
     NonFiniteError,
+    brown,
     brown_jacobian,
     brown_waveform,
     gates_to_meters,
@@ -101,6 +102,20 @@ class TestWaveform:
             col = brown_waveform(BrownParams(swh[m], tau[m], pu[m]), consts)
             assert np.array_equal(block[:, m], col)
 
+    def test_column_blocks_match_columns_bit_for_bit(self, consts):
+        # 257 columns: two full evaluation blocks and one column past them
+        assert brown.WAVEFORM_COLUMNS == 128
+        rng = np.random.default_rng(21)
+        swh, pu = rng.uniform(0.0, 8.0, 257), rng.uniform(50.0, 200.0, 257)
+        tau = gates_to_meters(rng.uniform(5.0, 95.0, 257), consts)
+        block = waveform_block(swh, tau, pu, consts)
+        for m in range(257):
+            col = brown_waveform(BrownParams(swh[m], tau[m], pu[m]), consts)
+            assert np.array_equal(block[:, m], col)
+        swh[200] = 1e300  # poisons the third block only
+        with pytest.raises(NonFiniteError):
+            waveform_block(swh, tau, pu, consts)
+
     def test_pathological_inputs_raise(self, consts):
         # the stable evaluation cannot overflow for finite inputs, so the
         # non-finite guard fires on inputs that poison the intermediate terms
@@ -115,6 +130,17 @@ class TestWaveform:
             BrownParams(swh=-1.0, tau=10.0, pu=1.0)
         with pytest.raises(ValueError):
             BrownParams(swh=1.0, tau=10.0, pu=-2.0)
+
+    @pytest.mark.parametrize("cast", [float, np.float64, np.array, int],
+                             ids=["float", "float64", "0-d-array", "int"])
+    def test_scalar_checks_agree_across_types(self, cast):
+        # float scalars take a fast path; it must accept and reject as the array path does
+        BrownParams(cast(0), cast(10), cast(0))
+        if cast is not int:
+            BrownParams(cast(np.nan), cast(np.nan), cast(np.nan))  # NaN is not negative
+        for bad in ((cast(-1), cast(10), cast(1)), (cast(1), cast(10), cast(-2))):
+            with pytest.raises(ValueError, match="swh and pu must be non-negative"):
+                BrownParams(*bad)
 
 
 class TestJacobian:

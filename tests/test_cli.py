@@ -95,6 +95,16 @@ class TestGenerate:
                     if run("generate", "--n", n, "--seed", seed, "--out-dir", tmp_path) != 0]
         assert rejected == []
 
+    @pytest.mark.parametrize("n", [24, 30])
+    def test_replays_its_own_short_tracks(self, tmp_path, n):
+        # the step cap grows on tracks shorter than the smoothing window
+        for seed in range(20):
+            first, replay = tmp_path / f"{seed}", tmp_path / f"{seed}-replay"
+            assert run("generate", "--n", n, "--seed", seed, "--out-dir", first) == 0
+            assert run("generate", "--n", n, "--seed", seed, "--traj", "file",
+                       "--traj-file", first / "trajectory.csv", "--out-dir", replay) == 0
+            assert digest(replay / "clean.blk") == digest(first / "clean.blk")
+
     def test_trajectory_file_with_a_jump_exits_two(self, tmp_path, capsys):
         path = tmp_path / "jump.csv"
         path.write_text("index,swh_m,tau_m,pu\n" + "".join(
@@ -154,16 +164,21 @@ class TestDenoiseEstimateMetrics:
         assert rows[("rsnr_db", "block")] > 25.0
 
     def test_estimate_methods(self, generated):
-        for method in ("ls", "svd-ls", "sse-ls"):
+        # each method gets only the options it reads; the manifest records the others as null
+        for method, chunk, threshold in (("ls", None, None), ("svd-ls", 60, 0.84),
+                                         ("sse-ls", 60, None)):
             out = generated / f"est_{method}.csv"
+            flags = () if chunk is None else ("--chunk", chunk)
             code = run("estimate", "--input", generated / "noisy.blk",
-                       "--method", method, "--chunk", 60, "--output", out)
+                       "--method", method, *flags, "--output", out)
             assert code == 0
             with open(out) as fh:
                 rows = list(csv.DictReader(fh))
             assert len(rows) == 60
             assert set(rows[0]) == {"index", "swh_m", "tau_m", "pu",
                                     "residual", "converged"}
+            args = blockio.read_manifest(f"{out}.manifest.json")["args"]
+            assert (args["chunk"], args["svd_threshold"]) == (chunk, threshold)
 
     def test_estimate_reports_grid_columns(self, generated, capsys):
         capsys.readouterr()
@@ -312,7 +327,7 @@ class TestBench:
                    "--swh-list", "2", *flags) == 0
         manifest = blockio.read_manifest(tmp_path / "table2.manifest.json")
         assert manifest["args"]["runs"] == runs
-        assert manifest["args"]["n"] == 5000
+        assert manifest["args"]["n"] is None  # table1's option, unread here
 
 
 def _contract_run(subcommand, src, d):
@@ -366,13 +381,33 @@ class TestManifestContract:
         (["bench", "--suite", "table1", "--n", 10, "--m-list=20", "--out", "{d}/out"], 2),
         (["metrics", "--clean", "{d}/nan.blk", "--est", "{d}/nan.blk",
           "--truth", "{d}/truth.csv", "--output", "{d}/m.csv"], 2),
+        # options outside the modes that read them; the estimate input is
+        # non-finite (exit 3), so these exit 2 only if rejected before reading it
+        (["estimate", "--input", "{d}/nan.blk", "--method", "ls", "--chunk", 7,
+          "--output", "{d}/e.csv"], 2),
+        (["estimate", "--input", "{d}/nan.blk", "--method", "ls", "--svd-threshold", 0.1,
+          "--output", "{d}/e.csv"], 2),
+        (["estimate", "--input", "{d}/nan.blk", "--method", "sse-ls", "--svd-threshold", 0.1,
+          "--output", "{d}/e.csv"], 2),
+        *[(["bench", "--suite", "table1", "--n", 10, "--m-list", 5, flag, value,
+            "--out", "{d}/out"], 2)
+          for flag, value in (("--runs", 9), ("--swh-list", 3), ("--chunk", 3),
+                              ("--svd-threshold", 0.5))],
+        *[(["bench", "--suite", suite, "--runs", 2, "--swh-list", 2, flag, value,
+            "--out", "{d}/out"], 2)
+          for suite in ("table2", "fig4") for flag, value in (("--n", 10), ("--m-list", 5))],
     ], ids=["bad-range", "non-finite-block", "zero-energy", "missing-input",
-            "negative-chunk", "chunk-beyond-track", "truth-without-series"])
-    def test_failed_run_writes_no_manifest(self, tmp_path, argv, code):
+            "negative-chunk", "chunk-beyond-track", "truth-without-series",
+            "ls-chunk", "ls-svd-threshold", "sse-ls-svd-threshold",
+            "table1-runs", "table1-swh-list", "table1-chunk", "table1-svd-threshold",
+            "table2-n", "table2-m-list", "fig4-n", "fig4-m-list"])
+    def test_failed_run_writes_no_manifest(self, tmp_path, capsys, argv, code):
         poisoned = np.ones((104, 8))
         poisoned[50, 3] = np.nan
         blockio.write_block(tmp_path / "nan.blk", poisoned)
         assert run(*(str(a).format(d=tmp_path) for a in argv)) == code
+        prefix = {2: "error:", 3: "numerical failure:", 4: "io failure:"}[code]
+        assert any(line.startswith(prefix) for line in capsys.readouterr().err.splitlines())
         # no manifest, no output and no output directory: only the test's own input is left
         assert [p.name for p in tmp_path.rglob("*")] == ["nan.blk"]
 

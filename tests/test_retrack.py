@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +15,8 @@ from altismooth.retrack import (
     svd_filter_stream,
     truncation_rank,
 )
+
+from conftest import peak_bytes
 
 
 def exact_waveform(consts, swh=2.0, tau_gates=31.0, pu=130.0):
@@ -226,13 +227,7 @@ class TestFitBlock:
                                    tau_range=(14.3, 15.0), pu_range=(150.0, 190.0))
         noisy = alt.corrupt(alt.clean_block(traj, consts), alt.NoiseSpec(looks=90.0, seed=19))
         block = alt.denoise_stream(noisy, 500)
-        tracemalloc.start()
-        try:
-            fit_block(block, consts)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= block.nbytes + 1.5e6
+        assert peak_bytes(fit_block, block, consts) <= block.nbytes + 1.5e6
 
     def test_each_batch_starts_from_latest_swh_positive_fit(self, consts, monkeypatch):
         # 70 columns: the grid fits column 0, then three warm batches follow

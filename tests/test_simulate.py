@@ -6,6 +6,7 @@ from altismooth import BadRangeError, DegenerateInputError, NoiseSpec, rsnr
 from altismooth.blockio import write_trajectory_csv
 from altismooth.simulate import NOISE_MODES, corrupt, make_trajectory
 
+from conftest import peak_bytes
 from oracles import naive_corrupt
 
 
@@ -102,6 +103,13 @@ class TestTrajectories:
         assert isinstance(traj, alt.BrownParams)
         assert all(a.dtype == float and a.shape == (40,) for a in (traj.swh, traj.tau, traj.pu))
         assert np.array_equal(alt.brown_waveform(traj, consts), alt.clean_block(traj, consts))
+
+    def test_clean_block_peak_stays_near_the_block(self, consts):
+        # the model is evaluated in blocks of columns straight into the output
+        traj = make_trajectory("smooth-random", 5000, swh_range=(3.4, 5.4),
+                               tau_range=(14.3, 15.0), pu_range=(150.0, 190.0), seed=8)
+        block = alt.clean_block(traj, consts)
+        assert peak_bytes(alt.clean_block, traj, consts) <= block.nbytes + 0.5e6
 
     def test_file_round_trip(self, tmp_path):
         traj = make_trajectory("smooth-random", 50, swh_range=(3.4, 5.4),

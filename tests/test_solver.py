@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -17,6 +15,7 @@ from altismooth.solver import (
 )
 
 import oracles
+from conftest import peak_bytes
 from oracles import cost_from_stats, prior_energy
 
 
@@ -267,13 +266,22 @@ class TestStream:
         # keeps the peak under the 1.026 MB that one full-size eigh needs here
         _, noisy = brown_block(consts, 200, seed=18)
         denoise_stream(noisy, 500)
-        tracemalloc.start()
-        try:
-            denoise_stream(noisy, 500)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.026e6
+        assert peak_bytes(denoise_stream, noisy, 500) <= 1.026e6
+
+    def test_stream_holds_its_output_and_one_chunk(self, consts):
+        # chunks go straight into the output and only the kept modes stay:
+        # 4.16 MB of output, 0.2 MB of basis and one chunk of scratch
+        _, noisy = brown_block(consts, 5000, seed=18)
+        denoise_stream(noisy[:, :500], 500)
+        assert peak_bytes(denoise_stream, noisy, 500) <= noisy.nbytes + 1.5e6
+
+    def test_states_view_the_output(self, consts):
+        _, noisy = brown_block(consts, 70, seed=14)
+        block, states = denoise_stream(noisy, 30, with_states=True)
+        for sl, state in zip(chunk_slices(70, 30), states):
+            assert np.shares_memory(state.denoised, block)
+            assert np.array_equal(state.denoised, block[:, sl])
+            assert np.array_equal(state.denoised, denoise(noisy[:, sl]).denoised)
 
     def test_with_states_returns_traces(self, consts):
         _, noisy = brown_block(consts, 50, seed=14)
