@@ -42,6 +42,8 @@ def write_block(path, block: np.ndarray) -> None:
     block = np.ascontiguousarray(block, dtype="<f8")
     if block.ndim != 2:
         raise ValueError("block must be 2-D (gates x signals)")
+    if block.size == 0:  # the header read_block rejects
+        raise ValueError(f"{path}: empty block header ({block.shape[0]} x {block.shape[1]})")
     header = _HEADER.pack(MAGIC, block.shape[0], block.shape[1])
     _atomic_write(path, header, block)  # the C-contiguous buffer itself, not a copy
 

@@ -183,24 +183,32 @@ def _model_and_jacobian(theta: np.ndarray, consts: BrownConstants):
     swh, pu = theta[:, :1], theta[:, 2:]
     dt, sc2, sc, u, v = _edge_terms(swh, theta[:, 1:2], consts.gate_times(), consts)
     rise = _stable_terms(u, v)
-    # Cannot overflow where rise did not: for u < 0 it has rise's exponent,
-    # for u >= 0 its exponent v - u^2 is below v.
+    # Cannot overflow: v - u^2 = -dt^2 / (2 sc2) <= 0, up to rounding.
     bell = _TWO_OVER_SQRTPI * np.exp(v - u**2)
 
     half_pu = 0.5 * pu
     jac = np.empty(rise.shape + (3,))
-    # d/d swh through sc2: d sc2/d swh = swh/(2 c^2).
+    # d/d swh through sc2: d sc2/d swh = swh/(2 c^2).  dt, u and v become scratch.
     d_sc2 = swh / (2.0 * c**2)
-    d_sc = d_sc2 / (2.0 * sc)
-    du_dsc = -dt / (_SQRT2 * sc2) - a / _SQRT2
-    jac[..., 0] = half_pu * (bell * du_dsc * d_sc + rise * (a**2 / 2.0) * d_sc2)
+    d_swh = np.divide(np.negative(dt, out=dt), _SQRT2 * sc2, out=dt)  # du/d sc
+    d_swh -= a / _SQRT2
+    d_swh *= bell
+    d_swh *= d_sc2 / (2.0 * sc)
+    curve = np.multiply(rise, a**2 / 2.0, out=u)
+    curve *= d_sc2
+    d_swh += curve
+    np.multiply(half_pu, d_swh, out=jac[..., 0])
     # d/d tau (meters): d tau_s/d tau = 2/c.
-    jac[..., 1] = half_pu * (a * rise - bell / (_SQRT2 * sc)) * (2.0 / c)
+    bell /= _SQRT2 * sc
+    d_tau = np.multiply(a, rise, out=v)
+    d_tau -= bell
+    d_tau *= half_pu
+    np.multiply(d_tau, 2.0 / c, out=jac[..., 1])
     # d/d pu: the model is linear in pu.
-    jac[..., 2] = 0.5 * rise
+    np.multiply(0.5, rise, out=jac[..., 2])
     if not np.isfinite(jac).all():
         raise NonFiniteError("model or jacobian evaluation produced non-finite values")
-    return half_pu * rise, jac
+    return np.multiply(half_pu, rise, out=rise), jac
 
 
 def waveform_block(swh, tau, pu, consts: BrownConstants) -> np.ndarray:

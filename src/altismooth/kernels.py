@@ -1,10 +1,10 @@
 """Squared-exponential correlation kernel and its spectral machinery.
 
 The smoothness prior on each gate's M-sample evolution uses the correlation
-matrix C(m, m') = exp(-(m - m')^2 / lengthscale^2) plus the constant
-diagonal jitter JITTER.
-All per-iteration solves reduce to diagonal shrinkage in the eigenbasis of
-the inverse correlation, so the expensive factorisation happens once.
+matrix C(m, m') = exp(-(m - m')^2 / lengthscale^2) plus the constant diagonal
+jitter JITTER, symmetric Toeplitz and so passed around as its length-M first
+row.  All per-iteration solves reduce to diagonal shrinkage in the eigenbasis
+of the inverse correlation, so the expensive factorisation happens once.
 
 For a symmetric positive-definite matrix the SVD and the symmetric
 eigendecomposition coincide; the eigendecomposition is used because it is
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NotPositiveDefiniteError
 
@@ -28,7 +29,7 @@ JITTER = 1e-8
 
 @dataclass(frozen=True)
 class CovarianceBasis:
-    """Eigenbasis of the inverse correlation (precision) matrix.
+    """Eigenbasis of the inverse correlation (precision), built from its first row.
 
     vectors            (M x M, or the solver's kept M x r) orthonormal
                        eigenvectors, column i paired with
@@ -45,47 +46,49 @@ class CovarianceBasis:
 
 
 def build_correlation(num_signals: int, lengthscale: float = DEFAULT_LENGTHSCALE) -> np.ndarray:
-    """The jittered SE correlation matrix over sample indices 0..M-1.
+    """First row of the jittered SE correlation over sample indices 0..M-1.
 
-    Positive definiteness is not checked here: ``decompose`` raises
-    NotPositiveDefiniteError when the matrix has a non-positive eigenvalue.
+    It fixes the symmetric Toeplitz C(m, m') = row[|m - m'|], lag 0 holding 1 + JITTER;
+    ``decompose`` raises NotPositiveDefiniteError if C is not positive definite.
     """
     if num_signals < 1:
         raise ValueError("num_signals must be >= 1")
     if lengthscale <= 0:
         raise ValueError("need lengthscale > 0")
-    idx = np.arange(num_signals, dtype=float)
-    corr = scipy.linalg.toeplitz(np.exp(-((idx / lengthscale) ** 2)))
-    corr.flat[:: num_signals + 1] += JITTER
-    return corr
+    row = np.exp(-((np.arange(num_signals, dtype=float) / lengthscale) ** 2))
+    row[0] += JITTER
+    return row
 
 
-def decompose(corr: np.ndarray) -> CovarianceBasis:
-    """Eigendecompose the inverse correlation matrix.
+def decompose(row: np.ndarray) -> CovarianceBasis:
+    """Eigendecompose the inverse of the symmetric Toeplitz C with first row ``row``.
 
-    C is symmetric Toeplitz, hence centrosymmetric (J C J = C, J the
-    reversal), so its eigenproblem splits exactly into two of half size
-    (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  With h = M // 2,
-    C11 = C[:h, :h] and C12 J = C[:h, ::-1][:, :h], the symmetric modes
+    C is centrosymmetric (J C J = C, J the reversal), so its eigenproblem splits
+    exactly into two of half size (Cantoni & Butler, Linear Algebra Appl. 13,
+    1976).  With h = M // 2, C11 = C[:h, :h] holds row[|i - j|] and C12 J the
+    Hankel entries row[M - 1 - i - j], both views of the row.  The symmetric modes
     [x; Jx] / sqrt(2) come from C11 + C12 J (for odd M bordered by the
     middle row, scaled by sqrt(2), which gives their middle entry) and the
     antisymmetric modes [x; -Jx] / sqrt(2) from C11 - C12 J.  Both fill one
-    M x M basis in ascending kernel order.
+    M x M basis in ascending kernel order.  ``row`` must be non-empty and 1-D.
 
     Kernel eigenvalues below JITTER/10 are floored there before
     reciprocation; those directions are already jitter-dominated and the
     floor only prevents overflow of their precision values.
     """
-    size = corr.shape[0]
-    half, odd = divmod(size, 2)
-    upper = corr[: half + odd]
-    flipped = upper[:half, ::-1][:, :half]
-    sym = upper[:, : half + odd].copy()  # eigh reads its lower triangle
-    sym[:half, :half] += flipped
+    row = np.asarray(row, dtype=float)
+    if row.ndim != 1 or row.size == 0:
+        raise ValueError(f"need a non-empty 1-D first row, got shape {row.shape}")
+    half, odd = divmod(row.size, 2)
+    lagged = np.concatenate((row[half + odd - 1 : 0 : -1], row[: half + odd]))
+    toeplitz = sliding_window_view(lagged, half + odd)[::-1]  # row[|i - j|], i, j <= h
+    hankel = sliding_window_view(row[::-1], half)[:half]  # row[M - 1 - i - j], i, j < h
+    sym = toeplitz.copy()  # eigh reads its lower triangle
+    sym[:half, :half] += hankel
     sym[half:, :half] *= np.sqrt(2.0)
     sym_vals, sym_vecs = scipy.linalg.eigh(sym, overwrite_a=True)
     del sym  # freed before the second solve
-    anti_vals, anti_vecs = scipy.linalg.eigh(upper[:half, :half] - flipped, overwrite_a=True)
+    anti_vals, anti_vecs = scipy.linalg.eigh(toeplitz[:half, :half] - hankel, overwrite_a=True)
     eigvals = np.concatenate([sym_vals, anti_vals])
     if eigvals.min() <= 0:
         raise NotPositiveDefiniteError(
@@ -93,13 +96,13 @@ def decompose(corr: np.ndarray) -> CovarianceBasis:
         )
     order = np.argsort(eigvals, kind="stable")
     rank = np.argsort(order)  # column of each eigenpair in ascending order
-    vectors = np.zeros((size, size))  # zero: the antisymmetric middle entries
+    vectors = np.zeros((row.size, row.size))  # zero: the antisymmetric middle entries
     for vecs, cols, sign in ((sym_vecs, rank[: half + odd], 1.0),
                              (anti_vecs, rank[half + odd :], -1.0)):
         vecs[:half] *= np.sqrt(0.5)
         vectors[: len(vecs), cols] = vecs
         vecs *= sign
-        vectors[size - half :, cols] = vecs[:half][::-1]
+        vectors[row.size - half :, cols] = vecs[:half][::-1]
     eigvals = np.maximum(eigvals[order], JITTER / 10.0)  # ascending: precisions descend
     return CovarianceBasis(vectors=vectors, precision_eigvals=1.0 / eigvals)
 

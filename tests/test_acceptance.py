@@ -13,7 +13,8 @@ import pytest
 import altismooth as alt
 from altismooth import bench
 from altismooth.gmrf import VarianceChain, aux_sweep, variance_sweep
-from altismooth.kernels import build_correlation, decompose, shrinkage_filter
+from altismooth.kernels import (DEFAULT_LENGTHSCALE, JITTER, build_correlation, decompose,
+                                shrinkage_filter)
 from altismooth.metrics import rmse, rsnr, std, std_20hz
 from altismooth.retrack import fit_block
 from altismooth.solver import SolverConfig, denoise, denoise_stream
@@ -221,8 +222,8 @@ def test_criterion_6_fast_path_equals_dense_solve():
     c = Clauses("criterion 6 (spectral shrinkage vs dense solve)")
     rng = np.random.default_rng(SEED + 20)
     for size in (10, 50, 200):
-        corr = build_correlation(size)
-        basis = decompose(corr)
+        corr = oracles.dense_correlation(size, DEFAULT_LENGTHSCALE, JITTER)
+        basis = decompose(build_correlation(size))
         # 100 rows shrunk as one stack and back-projected once, as the solver does
         rows = np.empty((100, size))
         noise_var = np.empty(100)

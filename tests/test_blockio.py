@@ -36,6 +36,18 @@ class TestBlockFormat:
         blockio.write_block(path, block[:, ::2])
         assert path.read_bytes()[12:] == np.ascontiguousarray(block[:, ::2]).tobytes()
 
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (0, 0)])
+    def test_empty_block_rejected_before_any_file(self, tmp_path, shape):
+        # the writer rejects what the reader would, with the reader's message
+        path = tmp_path / "empty.blk"
+        message = rf"empty block header \({shape[0]} x {shape[1]}\)"
+        with pytest.raises(ValueError, match=message):
+            blockio.write_block(path, np.zeros(shape))
+        assert list(tmp_path.iterdir()) == []
+        path.write_bytes(b"SSE1" + b"".join(n.to_bytes(4, "little") for n in shape))
+        with pytest.raises(ValueError, match=message):
+            blockio.read_block(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.blk"
         path.write_bytes(b"NOPE" + b"\x00" * 20)

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from altismooth import (SolverConfig, blockio, denoise_stream, fit_block, jason2_like,
-                        make_trajectory)
+from altismooth import (SolverConfig, blockio, cli, denoise_stream, fit_block, gmrf,
+                        jason2_like, make_trajectory, retrack, simulate, solver)
 from altismooth.cli import _solver_config, build_parser, main
 
 
@@ -450,3 +450,46 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--n", "4", "--frobnicate"])
         assert exc.value.code == 2
+
+
+class TestTracedAttributes:
+    """The module attributes perfbench's traced run wraps, at the names their callers use."""
+
+    TARGETS = (
+        (solver, ("build_correlation", "decompose", "denoise")),
+        (gmrf, ("variance_sweep", "aux_sweep", "chain_cost_terms")),
+        (cli, ("make_trajectory", "clean_block", "corrupt", "denoise_stream", "fit_block")),
+        (simulate, ("waveform_block",)),
+        (retrack, ("ls_fit", "brown_waveform", "brown_jacobian")),
+        (blockio, ("read_block", "write_block", "write_manifest")),
+    )
+
+    def test_pipeline_calls_every_wrapped_attribute(self, tmp_path, monkeypatch, capsys):
+        # a refactor that moves a call off one of these names leaves its span
+        # empty, and the traced benchmark run fails on a span that recorded no calls
+        calls = {}
+        for module, names in self.TARGETS:
+            for name in names:
+                key = f"{module.__name__}.{name}"
+
+                def counted(*args, _fn=getattr(module, name), _key=key, **kwargs):
+                    calls[_key] += 1
+                    return _fn(*args, **kwargs)
+
+                calls[key] = 0
+                monkeypatch.setattr(module, name, counted)
+        d = tmp_path
+        argvs = [
+            ("generate", "--n", 40, "--traj", "constant", "--swh", 2, "--tau-gates", 31,
+             "--pu", 130, "--looks", 90, "--seed", 7, "--out-dir", d),
+            ("denoise", "--input", d / "noisy.blk", "--output", d / "denoised.blk",
+             "--chunk", 500),
+            ("estimate", "--input", d / "denoised.blk", "--method", "ls",
+             "--output", d / "est.csv"),
+            ("metrics", "--clean", d / "clean.blk", "--est", d / "denoised.blk",
+             "--series", d / "est.csv", "--truth", d / "trajectory.csv",
+             "--output", d / "metrics.csv"),
+        ]
+        for argv in argvs:
+            assert run(*argv) == 0, capsys.readouterr().err
+        assert [key for key, count in calls.items() if count == 0] == []

@@ -7,6 +7,7 @@ from altismooth.kernels import JITTER, shrinkage_filter
 from altismooth.solver import MODE_CUTOFF
 
 import oracles
+from conftest import peak_bytes
 from oracles import prior_energy
 
 
@@ -28,35 +29,38 @@ def random_tuple(rng, size):
     return row, noise_var, energy_var
 
 
+def dense_kernel(size, lengthscale=30.0):
+    """The jittered SE correlation matrix whose first row build_correlation returns."""
+    return oracles.dense_correlation(size, lengthscale, JITTER)
+
+
 class TestBuildCorrelation:
     def test_singleton(self):
-        corr = build_correlation(1)
-        assert corr.shape == (1, 1)
-        assert corr[0, 0] == pytest.approx(1.0 + 1e-8, rel=0, abs=1e-18)
+        row = build_correlation(1)
+        assert row.shape == (1,)
+        assert row[0] == pytest.approx(1.0 + 1e-8, rel=0, abs=1e-18)
 
     def test_entries_at_lag_thirty(self):
-        corr = build_correlation(64, lengthscale=30.0)
-        assert corr[0, 0] == pytest.approx(1.0 + 1e-8, rel=1e-15)
-        assert corr[0, 30] == pytest.approx(np.exp(-1.0), rel=1e-15)
-        assert np.array_equal(corr, corr.T)
+        row = build_correlation(64, lengthscale=30.0)
+        assert row.shape == (64,)
+        assert row[0] == pytest.approx(1.0 + 1e-8, rel=1e-15)
+        assert row[30] == pytest.approx(np.exp(-1.0), rel=1e-15)
 
     def test_large_matrix_factorises_with_jitter(self):
-        corr = build_correlation(500, lengthscale=30.0)
         # condition number before jitter is astronomic; with it, bounded
-        eigvals = np.linalg.eigvalsh(corr)
+        eigvals = np.linalg.eigvalsh(dense_kernel(500))
         assert eigvals[0] > 0
         assert eigvals[-1] / eigvals[0] < 1e11
 
-    @pytest.mark.parametrize("size", [1, 64, 500])
+    @pytest.mark.parametrize("size", [1, 2, 3, 64, 201, 500])
     def test_matches_dense_lag_formula_bit_for_bit(self, size):
         for lengthscale in (30.0, 7.3, 1.5):
-            corr = build_correlation(size, lengthscale=lengthscale)
-            want = oracles.dense_correlation(size, lengthscale, JITTER)
-            assert np.array_equal(corr, want)
+            row = build_correlation(size, lengthscale=lengthscale)
+            assert np.array_equal(scipy.linalg.toeplitz(row), dense_kernel(size, lengthscale))
 
     def test_zero_jitter_fails_at_scale(self):
         with pytest.raises(NotPositiveDefiniteError):
-            decompose(oracles.dense_correlation(400, 30.0, 0.0))
+            decompose(oracles.dense_correlation(400, 30.0, 0.0)[0])
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -68,13 +72,12 @@ class TestBuildCorrelation:
 class TestDecompose:
     def test_identity_dominant_limit(self):
         # jitter-dominated diagonal matrix behaves like the identity
-        corr = build_correlation(1)
-        basis = decompose(corr)
+        basis = decompose(build_correlation(1))
         assert basis.precision_eigvals[0] == pytest.approx(1.0 / (1.0 + 1e-8), rel=1e-14)
 
     def test_orthonormal_and_reconstructs(self):
-        corr = build_correlation(200, lengthscale=30.0)
-        basis = decompose(corr)
+        corr = dense_kernel(200)
+        basis = decompose(build_correlation(200, lengthscale=30.0))
         gram = basis.vectors.T @ basis.vectors
         assert np.abs(gram - np.eye(200)).max() <= 1e-10
         # V diag(r) V^T against the LU-route inverse; both routes carry
@@ -88,16 +91,16 @@ class TestDecompose:
     def test_reconstructs_exactly_when_well_conditioned(self):
         # at sizes where the kernel is honestly invertible the stated 1e-8
         # reconstruction accuracy is met outright
-        corr = build_correlation(4, lengthscale=1.5)
-        basis = decompose(corr)
+        corr = dense_kernel(4, lengthscale=1.5)
+        basis = decompose(build_correlation(4, lengthscale=1.5))
         inv = np.linalg.solve(corr, np.eye(4))
         rebuilt = (basis.vectors * basis.precision_eigvals) @ basis.vectors.T
         rel = np.linalg.norm(rebuilt - inv) / np.linalg.norm(inv)
         assert rel <= 1e-8
 
     def test_eigenvalues_are_reciprocals(self):
-        corr = build_correlation(120, lengthscale=30.0)
-        basis = decompose(corr)
+        corr = dense_kernel(120)
+        basis = decompose(build_correlation(120, lengthscale=30.0))
         kernel_eigs = np.linalg.eigvalsh(corr)  # ascending
         # eigenvalue agreement is absolute (|err| <~ eps*||H||); tiny
         # jitter-floor eigenvalues therefore only match to cond-limited
@@ -109,9 +112,9 @@ class TestDecompose:
         assert rel.max() <= 1e-8
 
     def test_descending_order_and_idempotence(self):
-        corr = build_correlation(150, lengthscale=30.0)
-        a = decompose(corr)
-        b = decompose(corr)
+        row = build_correlation(150, lengthscale=30.0)
+        a = decompose(row)
+        b = decompose(row)
         assert np.all(np.diff(a.precision_eigvals) <= 0)
         assert np.array_equal(a.precision_eigvals, b.precision_eigvals)
         assert np.array_equal(a.vectors, b.vectors)
@@ -122,8 +125,8 @@ class TestSplitBasis:
 
     @pytest.mark.parametrize("size", [1, 2, 3, 200, 201, 500])
     def test_matches_full_eigendecomposition(self, size):
-        corr = build_correlation(size)
-        basis = decompose(corr)
+        corr = dense_kernel(size)
+        basis = decompose(build_correlation(size))
         vectors, kernel_eigs = basis.vectors, 1.0 / basis.precision_eigvals
         assert np.abs(vectors.T @ vectors - np.eye(size)).max() <= 1e-12
         rebuilt = (vectors * kernel_eigs) @ vectors.T
@@ -145,10 +148,23 @@ class TestSplitBasis:
         theirs = full_vectors[:, full_kept] @ full_vectors[:, full_kept].T
         assert np.abs(ours - theirs).max() <= 1e-9
 
+    def test_basis_transient_stays_near_the_basis(self):
+        # the M x M basis and the two half-size eigenvector sets it is filled
+        # from are 1.5 x 8 M^2 bytes; the M x M correlation matrix is never formed
+        size = 500
+        decompose(build_correlation(size))
+        assert peak_bytes(lambda: decompose(build_correlation(size))) <= 1.6 * 8 * size**2
+
     def test_non_positive_antisymmetric_mode_fails(self):
         # [[1, 2], [2, 1]] has the symmetric mode 3 and the antisymmetric mode -1
         with pytest.raises(NotPositiveDefiniteError):
-            decompose(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            decompose(np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.ones((2, 2)), np.ones((1, 1)), np.empty(0), 1.0],
+                             ids=["matrix", "1x1", "empty", "scalar"])
+    def test_rejects_anything_but_a_non_empty_row(self, bad):
+        with pytest.raises(ValueError, match="1-D first row"):
+            decompose(bad)
 
 
 class TestPosteriorMeanFast:
@@ -182,8 +198,8 @@ class TestPosteriorMeanFast:
 
     @pytest.mark.parametrize("size", [10, 50, 200])
     def test_matches_dense_solve(self, size):
-        corr = build_correlation(size)
-        basis = decompose(corr)
+        corr = dense_kernel(size)
+        basis = decompose(build_correlation(size))
         rng = np.random.default_rng(size)
         for _ in range(25):
             row, noise_var, energy_var = random_tuple(rng, size)
@@ -211,7 +227,7 @@ class TestPriorQuadraticForm:
 
     def test_identity_dominant(self):
         # a one-sample chain is its own identity correlation
-        basis = decompose(np.ones((1, 1)))
+        basis = decompose(np.ones(1))
         val = quadratic_form(np.array([3.0]), basis)
         assert val == pytest.approx(9.0, rel=1e-12)
 
@@ -219,8 +235,8 @@ class TestPriorQuadraticForm:
         # the solver only evaluates the form on filtered (smooth) rows; rows
         # in the kernel's range space, row = C z, carry the analytic identity
         # row^T C^-1 row = z^T C z, giving two independent references
-        corr = build_correlation(50)
-        basis = decompose(corr)
+        corr = dense_kernel(50)
+        basis = decompose(build_correlation(50))
         rng = np.random.default_rng(9)
         for _ in range(20):
             z = rng.normal(0, 2, 50)
@@ -235,8 +251,8 @@ class TestPriorQuadraticForm:
     def test_matches_dense_quadratic_rough_vectors(self):
         # rough vectors push the value onto jitter-floor eigenvalues where
         # every double-precision route has ~cond*eps relative fuzz
-        corr = build_correlation(50)
-        basis = decompose(corr)
+        corr = dense_kernel(50)
+        basis = decompose(build_correlation(50))
         inv = np.linalg.solve(corr, np.eye(50))
         rng = np.random.default_rng(10)
         for _ in range(20):

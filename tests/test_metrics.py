@@ -4,6 +4,8 @@ import pytest
 from altismooth import DegenerateInputError, ShapeMismatchError
 from altismooth.metrics import rmse, rsnr, std, std_20hz
 
+from conftest import peak_bytes
+
 
 class TestRsnr:
     def test_perfect_reconstruction_saturates(self):
@@ -20,6 +22,16 @@ class TestRsnr:
         clean = rng.normal(0, 1, (6, 7))
         est = clean + rng.normal(0, 0.1, (6, 7))
         assert rsnr(4.0 * clean, 4.0 * est) == rsnr(clean, est)
+
+    def test_residual_squared_in_place(self):
+        # the same sums as the textbook formula, from one block-sized temporary;
+        # numpy reuses (clean - est) for its square on its own only from 256 KiB up
+        rng = np.random.default_rng(3)
+        clean = rng.normal(0, 1, (104, 200))
+        est = clean + rng.normal(0, 0.1, clean.shape)
+        want = 10.0 * np.log10(float(np.sum(clean**2)) / float(np.sum((clean - est) ** 2)))
+        assert rsnr(clean, est) == want
+        assert peak_bytes(rsnr, clean, est) <= 1.05 * clean.nbytes
 
     def test_errors(self):
         with pytest.raises(ShapeMismatchError):

@@ -222,12 +222,14 @@ class TestFitBlock:
         assert calls == []
 
     def test_peak_memory_stays_near_the_block(self, consts):
-        # fitting copies one batch of columns at a time, never the whole track
+        # fitting copies one batch of columns at a time, never the whole 1.33 MB
+        # track: the peak is the 1600 results (0.50 MB) and one batch's scratch,
+        # 0.91 MB in all
         traj = alt.make_trajectory("smooth-random", 1600, seed=19, swh_range=(3.4, 5.4),
                                    tau_range=(14.3, 15.0), pu_range=(150.0, 190.0))
         noisy = alt.corrupt(alt.clean_block(traj, consts), alt.NoiseSpec(looks=90.0, seed=19))
         block = alt.denoise_stream(noisy, 500)
-        assert peak_bytes(fit_block, block, consts) <= block.nbytes + 1.5e6
+        assert peak_bytes(fit_block, block, consts) <= 0.95e6
 
     def test_each_batch_starts_from_latest_swh_positive_fit(self, consts, monkeypatch):
         # 70 columns: the grid fits column 0, then three warm batches follow
