@@ -7,8 +7,6 @@ has one true parameter triplet, so the per-signal scatter of the estimates
 is the estimator noise.
 """
 
-import numpy as np
-
 from altismooth import (
     NoiseSpec,
     clean_block,
@@ -42,10 +40,11 @@ header = (f"{'method':22s} {'rmse(swh) m':>12s} {'rmse(tau) m':>12s} {'rmse(pu)'
 print(header)
 print("-" * len(header))
 for label, block in versions.items():
-    fits = fit_block(block, consts)
-    estimates = np.array([[f.params.swh, f.params.tau, f.params.pu] for f in fits]).T
-    errors = [rmse(est, true) for est, true in zip(estimates, (traj.swh, traj.tau, traj.pu))]
-    grid = sum(not f.warm for f in fits)
+    fits = fit_block(block, consts)  # one FitResult whose fields are per-signal arrays
+    p = fits.params
+    errors = [rmse(est, true) for est, true in zip((p.swh, p.tau, p.pu),
+                                                   (traj.swh, traj.tau, traj.pu))]
+    grid = (~fits.warm).sum()
     print(f"{label:22s} {errors[0]:12.4f} {errors[1]:12.4f} {errors[2]:10.4f} {grid:10d}")
 
 print("\ngrid cols: signals whose fit ran the full five-start grid instead of "

@@ -125,8 +125,8 @@ def run_table2(
 
 def _fit_series(block, consts) -> np.ndarray:
     """3 x N fitted (swh, tau, pu) rows, one column per signal."""
-    results = fit_block(block, consts)
-    return np.array([[r.params.swh, r.params.tau, r.params.pu] for r in results]).T
+    p = fit_block(block, consts).params
+    return np.array([p.swh, p.tau, p.pu])
 
 
 def run_fig4(

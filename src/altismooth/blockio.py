@@ -18,6 +18,8 @@ import time
 
 import numpy as np
 
+from .errors import BadRangeError
+
 MAGIC = b"SSE1"
 _HEADER = struct.Struct("<4sII")
 
@@ -85,6 +87,8 @@ def read_trajectory_csv(path):
     if not rows:
         raise ValueError(f"{path}: empty CSV")
     arr = np.asarray(rows, dtype=float)
+    if not np.isfinite(arr).all():
+        raise BadRangeError(f"{path}: swh, tau and pu must be finite")
     return arr[:, 0], arr[:, 1], arr[:, 2]
 
 

@@ -77,18 +77,17 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True, help="number of signals")
     gen.add_argument("--traj", choices=("constant", "smooth-random", "file"),
                      default="smooth-random")
-    gen.add_argument("--swh", type=float, default=2.0, help="constant SWH [m]")
+    gen.add_argument("--swh", type=float, help="constant SWH [m] (default 2)")
     tau_group = gen.add_mutually_exclusive_group()
     tau_group.add_argument("--tau-m", type=float, default=None, help="constant epoch [m]")
     tau_group.add_argument("--tau-gates", type=float, default=None,
                            help="constant epoch [gates]")
-    gen.add_argument("--pu", type=float, default=130.0, help="constant amplitude")
-    gen.add_argument("--swh-range", type=_parse_pair, default=bench.TABLE1_SWH_RANGE)
-    gen.add_argument("--tau-range", type=_parse_pair, default=bench.TABLE1_TAU_RANGE_M,
-                     help="epoch range in meters")
-    gen.add_argument("--pu-range", type=_parse_pair, default=bench.TABLE1_PU_RANGE)
+    gen.add_argument("--pu", type=float, help="constant amplitude (default 130)")
+    gen.add_argument("--swh-range", type=_parse_pair)
+    gen.add_argument("--tau-range", type=_parse_pair, help="epoch range in meters")
+    gen.add_argument("--pu-range", type=_parse_pair)
     gen.add_argument("--traj-file", type=Path, default=None)
-    gen.add_argument("--looks", type=float, default=bench.DEFAULT_LOOKS)
+    gen.add_argument("--looks", type=float, help="multiplicative-speckle only (default 90)")
     gen.add_argument("--noise-mode", choices=NOISE_MODES,
                      default="multiplicative-speckle")
     gen.add_argument("--noise-var", type=float, default=None,
@@ -147,7 +146,8 @@ def _options_read_by(args, mode: str, **options) -> None:
         if getattr(args, name) is None:
             setattr(args, name, default if choice in readers else None)
         elif choice not in readers:
-            raise BadRangeError(f"--{name.replace('_', '-')} is not read by --{mode} {choice}")
+            raise BadRangeError(f"--{name.replace('_', '-')} is not read by "
+                                f"--{mode.replace('_', '-')} {choice}")
 
 
 def _constants(args) -> BrownConstants:
@@ -171,6 +171,14 @@ def _manifest_args(args) -> dict:
 
 
 def cmd_generate(args) -> Run:
+    constant, smooth, speckle = ("constant",), ("smooth-random",), ("multiplicative-speckle",)
+    _options_read_by(args, "traj", swh=(constant, 2.0), pu=(constant, 130.0),
+                     tau_m=(constant, None), tau_gates=(constant, None),
+                     swh_range=(smooth, bench.TABLE1_SWH_RANGE),
+                     tau_range=(smooth, bench.TABLE1_TAU_RANGE_M),
+                     pu_range=(smooth, bench.TABLE1_PU_RANGE), traj_file=(("file",), None))
+    _options_read_by(args, "noise_mode", looks=(speckle, bench.DEFAULT_LOOKS),
+                     noise_var=(("additive-gaussian",), None))
     consts = _constants(args)
     if args.traj == "constant":
         if args.tau_gates is not None:
@@ -195,12 +203,9 @@ def cmd_generate(args) -> Run:
         traj = make_trajectory("file", args.n, path=args.traj_file, consts=consts)
 
     clean = clean_block(traj, consts)
-    spec = NoiseSpec(
-        looks=args.looks,
-        seed=bench.derive_seed(args.seed, bench.NOISE_STREAM),
-        mode=args.noise_mode,
-        noise_var=args.noise_var,
-    )
+    read = {"looks": args.looks} if args.noise_mode in speckle else {"noise_var": args.noise_var}
+    spec = NoiseSpec(seed=bench.derive_seed(args.seed, bench.NOISE_STREAM),
+                     mode=args.noise_mode, **read)
     noisy = corrupt(clean, spec)
     input_rsnr = metrics.rsnr(clean, noisy)  # raises on a zero-energy block before any write
 
@@ -254,25 +259,14 @@ def cmd_estimate(args) -> Run:
         block = svd_filter_stream(block, args.chunk, args.svd_threshold)
     elif args.method == "sse-ls":
         block = denoise_stream(block, args.chunk)
-    fits = fit_block(block, consts)
-    rows = [
-        {
-            "index": m,
-            "swh_m": fit.params.swh,
-            "tau_m": fit.params.tau,
-            "pu": fit.params.pu,
-            "residual": fit.residual_norm,
-            "converged": int(fit.converged),
-        }
-        for m, fit in enumerate(fits)
-    ]
-    blockio.write_report_csv(
-        args.output, ["index", "swh_m", "tau_m", "pu", "residual", "converged"], rows
-    )
-    grid = sum(not fit.warm for fit in fits)
+    fits, n = fit_block(block, consts), block.shape[1]
+    p = fits.params
+    fields = ["index", "swh_m", "tau_m", "pu", "residual", "converged"]
+    columns = (range(n), p.swh, p.tau, p.pu, fits.residual_norm, fits.converged.astype(int))
+    blockio.write_report_csv(args.output, fields, (dict(zip(fields, r)) for r in zip(*columns)))
     return Run({"estimates": args.output}, [
-        f"retracked {len(rows)} signals with {args.method}; "
-        f"{grid}/{len(rows)} ran the full start grid",
+        f"retracked {n} signals with {args.method}; "
+        f"{(~fits.warm).sum()}/{n} ran the full start grid",
     ])
 
 

@@ -53,7 +53,7 @@ def build_correlation(num_signals: int, lengthscale: float = DEFAULT_LENGTHSCALE
     """
     if num_signals < 1:
         raise ValueError("num_signals must be >= 1")
-    if lengthscale <= 0:
+    if not lengthscale > 0:
         raise ValueError("need lengthscale > 0")
     row = np.exp(-((np.arange(num_signals, dtype=float) / lengthscale) ** 2))
     row[0] += JITTER

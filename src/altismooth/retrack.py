@@ -6,8 +6,7 @@ multi-modal in (SWH, tau): from a single mid-window start a large fraction
 of noisy fits converges onto a spurious swh = 0 boundary minimum.  The fit
 therefore runs five starts, swh = 2 m and pu = max(y) with tau at the window
 fractions ``TAU_GRID_FRACTIONS``, mid-window first, and keeps the lowest
-finishing cost; on a tie the earlier start wins.  A caller-supplied
-``init`` replaces the five with that single start.
+finishing cost; on a tie the earlier start wins.
 
 The starts run as one batch (Moré 1978, "The Levenberg-Marquardt
 algorithm: implementation and theory"): each round solves the damped
@@ -33,11 +32,12 @@ positive.  A warm fit is kept, marked ``warm``, only if
   that boundary minimum;
 - it costs at most ``WARM_COST_RATIO`` times the anchor's cost: neighbouring
   speckle moves the cost far less, so a larger one is another minimum.
-Any other column reruns the grid on its own.  Where minima compete, a
-column's fit can depend on the visiting order.  A lone start costs mostly
-NumPy call overhead, which a batch shares.  On a 104 x 200 track (2-core VM),
-widths 16, 32 and 64 take 25, 20 and 18 ms and peak at 0.27, 0.47 and 0.87 MB.
-At 64 the CLI estimate step would peak at 1.06-1.09 MB; no other step passes 0.72.
+Any other column reruns the grid on its own, through ``ls_fit``.  Where
+minima compete, a column's fit can depend on the visiting order.  The fits fill
+one ``FitResult`` of length-N arrays.  A lone start costs mostly NumPy call
+overhead, which a batch shares.  On a denoised 104 x 200 track (2-core VM),
+widths 16, 32 and 64 take 24, 19 and 18 ms and peak at 0.23, 0.43 and 0.84 MB.
+At 64 the CLI estimate step would peak at 1.05-1.07 MB; no other step passes 0.72.
 
 ``svd_filter`` reconstructs a block from the smallest leading set of
 singular components whose cumulative squared-singular-value fraction
@@ -71,11 +71,13 @@ FIT_BATCH = 32  # columns per warm-started batch
 
 @dataclass(frozen=True)
 class FitResult:
+    """One fit of Python scalars (``ls_fit``), or length-N arrays (``fit_block``)."""
+
     params: BrownParams
-    residual_norm: float
-    iterations: int
-    converged: bool
-    warm: bool = False  # set by fit_block on a kept warm-started fit
+    residual_norm: float | np.ndarray
+    iterations: int | np.ndarray
+    converged: bool | np.ndarray
+    warm: bool | np.ndarray = False  # a kept warm-started fit
 
 
 # Lower bounds of (swh, tau, pu): a trial step is clipped back onto swh, pu >= 0.
@@ -180,14 +182,10 @@ def _lm_fit(y, consts, starts):
     return theta, cost, iterations, converged, diverged
 
 
-def ls_fit(
-    y: np.ndarray,
-    consts: BrownConstants,
-    init: BrownParams | None = None,
-) -> FitResult:
-    """Least-squares retracking of one waveform.
+def ls_fit(y: np.ndarray, consts: BrownConstants) -> FitResult:
+    """Least-squares retracking of one waveform from the five grid starts.
 
-    Raises DivergedError only when every tried start fails to make progress.
+    Raises DivergedError only when every start fails to make progress.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (consts.num_gates,):
@@ -195,51 +193,51 @@ def ls_fit(
     if not np.all(np.isfinite(y)):
         raise ValueError("waveform must be finite")
 
-    if init is not None:
-        starts = [[init.swh, init.tau, init.pu]]
-    else:
-        pu0 = max(float(y.max()), 1e-6)
-        starts = [[2.0, frac * consts.window_meters, pu0] for frac in TAU_GRID_FRACTIONS]
-
+    pu0 = max(float(y.max()), 1e-6)
+    starts = [[2.0, frac * consts.window_meters, pu0] for frac in TAU_GRID_FRACTIONS]
     theta, cost, iterations, converged, diverged = _lm_fit(y, consts, starts)
     kept = np.flatnonzero(~diverged)
     if kept.size == 0:
         raise DivergedError("all fit starts diverged (bad waveform?)")
     best = kept[np.argmin(cost[kept])]  # the earliest of equal costs
     return FitResult(
-        params=BrownParams(swh=theta[best, 0], tau=theta[best, 1], pu=theta[best, 2]),
+        params=BrownParams(*theta[best].tolist()),
         residual_norm=float(np.sqrt(cost[best])),
         iterations=int(iterations[best]),
         converged=bool(converged[best]),
     )
 
 
-def fit_block(block: np.ndarray, consts: BrownConstants) -> list[FitResult]:
+def fit_block(block: np.ndarray, consts: BrownConstants) -> FitResult:
     """Retrack every column, batch by batch, warm-started from the latest swh > 0 fit."""
     block = np.asarray(block, dtype=float)
     if block.ndim != 2 or block.shape[0] != consts.num_gates:
         raise ValueError(f"waveform must have {consts.num_gates} gates")
     if not np.all(np.isfinite(block)):
         raise ValueError("waveform must be finite")
-    fits: list[FitResult] = []
-    anchor = None
-    while len(fits) < block.shape[1]:
-        lo = len(fits)
-        if anchor is None:
-            fits.append(ls_fit(block[:, lo], consts))
-        else:
-            y = np.ascontiguousarray(block[:, lo:lo + FIT_BATCH].T)
-            start = [anchor.params.swh, anchor.params.tau, anchor.params.pu]
-            theta, cost, iterations, converged, _ = _lm_fit(y, consts, [start] * len(y))
-            limit = WARM_COST_RATIO * anchor.residual_norm**2
-            for i in range(len(y)):
-                if converged[i] and theta[i, 0] > 0 and cost[i] <= limit:
-                    fits.append(FitResult(BrownParams(*theta[i]), float(np.sqrt(cost[i])),
-                                          int(iterations[i]), True, warm=True))
-                else:
-                    fits.append(ls_fit(y[i], consts))
-        anchor = next((f for f in reversed(fits[lo:]) if f.params.swh > 0), anchor)
-    return fits
+    n = block.shape[1]
+    theta, norm = np.empty((n, 3)), np.empty(n)
+    iterations, converged = np.empty(n, dtype=int), np.empty(n, dtype=bool)
+    warm = np.zeros(n, dtype=bool)
+    lo, anchor = 0, None  # anchor: the column whose fit starts the next batch
+    while lo < n:
+        hi = lo + 1 if anchor is None else min(lo + FIT_BATCH, n)
+        y = np.ascontiguousarray(block[:, lo:hi].T)
+        if anchor is not None:
+            theta[lo:hi], cost, iterations[lo:hi], converged[lo:hi], _ = _lm_fit(
+                y, consts, [theta[anchor]] * (hi - lo))
+            norm[lo:hi] = np.sqrt(cost)
+            warm[lo:hi] = (converged[lo:hi] & (theta[lo:hi, 0] > 0)
+                           & (cost <= WARM_COST_RATIO * norm[anchor]**2))
+        for m in lo + np.flatnonzero(~warm[lo:hi]):  # no anchor, or a warm fit not kept
+            fit = ls_fit(y[m - lo], consts)
+            theta[m] = fit.params.swh, fit.params.tau, fit.params.pu
+            norm[m], iterations[m], converged[m] = fit.residual_norm, fit.iterations, fit.converged
+        positive = np.flatnonzero(theta[lo:hi, 0] > 0)
+        if positive.size:
+            anchor = lo + positive[-1]
+        lo = hi
+    return FitResult(BrownParams(*theta.T), norm, iterations, converged, warm)
 
 
 def truncation_rank(singular_values: np.ndarray, energy_threshold: float) -> int:

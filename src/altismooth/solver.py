@@ -53,7 +53,7 @@ MODE_CUTOFF = 1e-8  # kept modes: kernel eigenvalue >= MODE_CUTOFF * largest
 class SolverConfig:
     """Knobs of the denoiser.
 
-    zeta / eta   coupling strengths of the noise / energy chains (> 1)
+    zeta / eta   coupling strengths of the noise / energy chains (finite, > 1)
     xi           relative cost-change stopping threshold
     t_max        sweep cap
     lengthscale  SE correlation length over the signal index
@@ -66,8 +66,8 @@ class SolverConfig:
     lengthscale: float = DEFAULT_LENGTHSCALE
 
     def __post_init__(self):
-        if not (self.zeta > 1 and self.eta > 1):
-            raise ValueError("zeta and eta must be > 1")
+        if not (1 < self.zeta < np.inf and 1 < self.eta < np.inf):
+            raise ValueError("zeta and eta must be finite and > 1")
         if not (self.xi > 0 and self.t_max >= 1):
             raise ValueError("need xi > 0 and t_max >= 1")
 

@@ -132,8 +132,8 @@ def test_criterion_3_retracking_orderings(constants):
     clean = alt.clean_block(traj, constants)
     noisy = alt.corrupt(clean, alt.NoiseSpec(looks=90.0, seed=SEED + 2))
     denoised = denoise_stream(noisy, 300)
-    swh_ls = np.array([f.params.swh for f in fit_block(noisy, constants)])
-    swh_sse = np.array([f.params.swh for f in fit_block(denoised, constants)])
+    swh_ls = fit_block(noisy, constants).params.swh
+    swh_sse = fit_block(denoised, constants).params.swh
     ratio = std_20hz(swh_ls) / std_20hz(swh_sse)
     c.check(ratio >= 3.0, f"20 Hz STD(swh) improvement factor {ratio:.2f} >= 3")
 
@@ -143,7 +143,7 @@ def test_criterion_3_retracking_orderings(constants):
     # at the full-scale 500-signal block size
     _, _, noisy500 = bench._sweep_block(2.0, 500, 90.0, SEED, 1, constants)
     den500 = denoise_stream(noisy500, 500)
-    pu500 = np.array([f.params.pu for f in fit_block(den500, constants)])
+    pu500 = fit_block(den500, constants).params.pu
     print(f"[INFO] criterion 3: denoiser-LS RMSE(pu) at 500-signal scale: "
           f"{rmse(pu500, np.full(500, 130.0)):.3f} (target 1.2)")
     c.conclude()

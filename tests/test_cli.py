@@ -59,6 +59,21 @@ class TestGenerate:
         for name, want in digests.items():
             assert digest(tmp_path / name) == want
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--noise-var", "0.1"), "--noise-var is not read by --noise-mode multiplicative-speckle"),
+        (("--traj", "smooth-random", "--swh", "3"), "--swh is not read by --traj smooth-random"),
+    ], ids=["noise-var", "swh"])
+    def test_unread_option_names_the_mode(self, tmp_path, capsys, flags, message):
+        assert run("generate", "--n", 5, *flags, "--out-dir", tmp_path) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_manifest_records_unread_options_as_null(self, tmp_path):
+        assert run("generate", "--n", 5, "--traj", "constant", "--out-dir", tmp_path) == 0
+        args = blockio.read_manifest(tmp_path / "generate.manifest.json")["args"]
+        assert (args["swh"], args["pu"], args["looks"]) == (2.0, 130.0, 90.0)
+        unread = ("swh_range", "tau_range", "pu_range", "traj_file", "noise_var")
+        assert [args[name] for name in unread] == [None] * len(unread)
+
     def test_bad_range_exits_two(self, tmp_path, capsys):
         code = run("generate", "--n", 8, "--traj", "smooth-random",
                    "--swh-range", "5,1", "--out-dir", tmp_path)
@@ -185,9 +200,18 @@ class TestDenoiseEstimateMetrics:
         assert run("estimate", "--input", generated / "noisy.blk",
                    "--output", generated / "est.csv") == 0
         fits = fit_block(blockio.read_block(generated / "noisy.blk"), jason2_like())
-        grid = sum(not f.warm for f in fits)
+        grid = (~fits.warm).sum()
         assert 1 <= grid < 60
         assert f"; {grid}/60 ran the full start grid" in capsys.readouterr().out
+        # est.csv holds the fits column by column, at full precision
+        with open(generated / "est.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        written = np.array([[float(r[k]) for k in ("swh_m", "tau_m", "pu", "residual")]
+                            for r in rows])
+        p = fits.params
+        assert np.array_equal(written, np.column_stack([p.swh, p.tau, p.pu, fits.residual_norm]))
+        assert [r["index"] for r in rows] == [str(m) for m in range(60)]
+        assert [r["converged"] for r in rows] == [str(int(c)) for c in fits.converged]
 
     def test_metrics_series_statistics(self, generated):
         est = generated / "est.csv"
@@ -207,7 +231,10 @@ class TestDenoiseEstimateMetrics:
         ("--series", "index,swh_m,tau_m\n0,2.0,14.5\n", "missing columns"),
         ("--truth", "index,swh_m,tau_m\n0,2.0,14.5\n", "missing columns"),
         ("--series", "index,swh_m,tau_m,pu\n", "empty CSV"),
-    ], ids=["series-missing-column", "truth-missing-column", "header-only"])
+        ("--series", "index,swh_m,tau_m,pu\n0,nan,14.5,130.0\n", "must be finite"),
+        ("--truth", "index,swh_m,tau_m,pu\n0,2.0,14.5,inf\n", "must be finite"),
+    ], ids=["series-missing-column", "truth-missing-column", "header-only", "series-nan",
+            "truth-inf"])
     def test_bad_series_csv_exits_two(self, generated, capsys, bad_flag, text, message):
         est = generated / "est.csv"
         assert run("estimate", "--input", generated / "noisy.blk",
@@ -216,11 +243,30 @@ class TestDenoiseEstimateMetrics:
         files[bad_flag] = generated / "bad.csv"
         files[bad_flag].write_text(text)
         capsys.readouterr()
-        code = run("metrics", "--series", files["--series"],
-                   "--truth", files["--truth"], "--output", generated / "m.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("metrics", "--series", files["--series"],
+                       "--truth", files["--truth"], "--output", generated / "m.csv")
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err and "Traceback" not in err
+        assert f"{files[bad_flag]}: " in err and not (generated / "m.csv").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--zeta", "inf", "zeta and eta must be finite"),
+        ("--eta", "inf", "zeta and eta must be finite"),
+        ("--lengthscale", "nan", "lengthscale > 0"),
+    ])
+    def test_non_finite_solver_option_exits_two(self, generated, capsys, flag, value, message):
+        out = generated / "den.blk"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("denoise", "--input", generated / "noisy.blk", "--output", out,
+                       flag, value)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [("--clean", "--est"), ("--series", "--truth")],
                              ids=["blocks", "series"])
@@ -348,6 +394,18 @@ def _contract_run(subcommand, src, d):
     }[subcommand]
 
 
+# generate options outside the --traj and --noise-mode choices that read them
+_UNREAD_BY_MODE = [
+    ("--traj", "constant", "--swh-range", "1,2"),
+    ("--traj", "constant", "--traj-file", "x.csv"),
+    *[("--traj", "smooth-random", flag, "3") for flag in ("--swh", "--pu", "--tau-gates",
+                                                            "--tau-m")],
+    ("--traj", "file", "--traj-file", "x.csv", "--pu-range", "1,2"),
+    ("--noise-var", "0.1"),
+    ("--noise-mode", "additive-gaussian", "--noise-var", "0.1", "--looks", "4"),
+]
+
+
 class TestManifestContract:
     @pytest.fixture()
     def src(self, tmp_path):
@@ -396,11 +454,13 @@ class TestManifestContract:
         *[(["bench", "--suite", suite, "--runs", 2, "--swh-list", 2, flag, value,
             "--out", "{d}/out"], 2)
           for suite in ("table2", "fig4") for flag, value in (("--n", 10), ("--m-list", 5))],
+        *[(["generate", "--n", 8, *flags, "--out-dir", "{d}/out"], 2) for flags in _UNREAD_BY_MODE],
     ], ids=["bad-range", "non-finite-block", "zero-energy", "missing-input",
             "negative-chunk", "chunk-beyond-track", "truth-without-series",
             "ls-chunk", "ls-svd-threshold", "sse-ls-svd-threshold",
             "table1-runs", "table1-swh-list", "table1-chunk", "table1-svd-threshold",
-            "table2-n", "table2-m-list", "fig4-n", "fig4-m-list"])
+            "table2-n", "table2-m-list", "fig4-n", "fig4-m-list",
+            *[" ".join(("generate",) + flags) for flags in _UNREAD_BY_MODE]])
     def test_failed_run_writes_no_manifest(self, tmp_path, capsys, argv, code):
         poisoned = np.ones((104, 8))
         poisoned[50, 3] = np.nan
