@@ -115,17 +115,23 @@ def _stable_terms(u, v, out=None):
     For u < 0 the product is computed as erfcx(-u)*exp(v - u^2), which stays
     bounded even when exp(v) alone would overflow.  From u = 6 up, erf(u)
     rounds to exactly 1.0 and the product is 2*exp(v).  NaN takes the erf
-    branch, so that it reaches the callers' non-finite checks.
+    branch, so that it reaches the callers' non-finite checks.  Each branch
+    runs the formula's operations in place on its gathered u and v.
     """
     rise = np.empty_like(u) if out is None else out
     neg, top = u < 0.0, u >= 6.0
     mid = ~(neg | top)
-    u_neg = u[neg]
     with np.errstate(over="raise", invalid="raise"):
         try:
-            rise[neg] = erfcx(-u_neg) * np.exp(v[neg] - u_neg**2)
-            rise[mid] = (1.0 + erf(u[mid])) * np.exp(v[mid])
-            rise[top] = 2.0 * np.exp(v[top])
+            part, scale = u[neg], v[neg]
+            scale -= np.square(part)
+            part = erfcx(np.negative(part, out=part), out=part)
+            rise[neg] = np.multiply(part, np.exp(scale, out=scale), out=part)
+            part, scale = u[mid], v[mid]
+            part = np.add(erf(part, out=part), 1.0, out=part)
+            rise[mid] = np.multiply(part, np.exp(scale, out=scale), out=part)
+            scale = v[top]
+            rise[top] = np.multiply(np.exp(scale, out=scale), 2.0, out=scale)
         except FloatingPointError as exc:
             raise NonFiniteError(f"waveform evaluation overflowed: {exc}") from exc
     return rise
@@ -138,15 +144,17 @@ def _edge_terms(swh, tau, t, consts: BrownConstants):
     K x 1 gate column give K x M terms, n x 1 columns against the length-K
     gate row give n x K.  Every term is elementwise, so an entry does not
     depend on the layout.  dt = t - tau_s, u is the erf argument and v the
-    exponent.
+    exponent; u and v are divided and scaled in place.
     """
     a = consts.alpha
     with np.errstate(over="ignore", invalid="ignore"):
         dt = t - 2.0 * tau / consts.c
         sc2 = (swh / (2.0 * consts.c)) ** 2 + consts.sigma_p**2
         sc = np.sqrt(sc2)
-        u = (dt - a * sc2) / (_SQRT2 * sc)
-        v = -a * (dt - a * sc2 / 2.0)
+        u = dt - a * sc2
+        u /= _SQRT2 * sc
+        v = dt - a * sc2 / 2.0
+        v *= -a
     return dt, sc2, sc, u, v
 
 

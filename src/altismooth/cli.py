@@ -156,6 +156,13 @@ def _constants(args) -> BrownConstants:
     return jason2_like()
 
 
+def _read_finite_block(path) -> np.ndarray:
+    block = blockio.read_block(path)
+    if not np.isfinite(block).all():
+        raise NonFiniteError(f"{path}: block contains non-finite values")
+    return block
+
+
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(zeta=args.zeta, eta=args.eta, xi=args.xi, t_max=args.tmax,
                         lengthscale=args.lengthscale)
@@ -252,9 +259,7 @@ def cmd_estimate(args) -> Run:
     _options_read_by(args, "method", chunk=(("svd-ls", "sse-ls"), bench.DEFAULT_CHUNK),
                      svd_threshold=(("svd-ls",), bench.DEFAULT_SVD_THRESHOLD))
     consts = _constants(args)
-    block = blockio.read_block(args.input)
-    if not np.isfinite(block).all():
-        raise NonFiniteError("input block contains non-finite values")
+    block = _read_finite_block(args.input)
     if args.method == "svd-ls":
         block = svd_filter_stream(block, args.chunk, args.svd_threshold)
     elif args.method == "sse-ls":
@@ -277,8 +282,7 @@ def cmd_metrics(args) -> Run:
     if args.truth is not None and args.series is None:
         raise BadRangeError("--truth needs --series")
     if args.clean is not None:
-        clean = blockio.read_block(args.clean)
-        est = blockio.read_block(args.est)
+        clean, est = _read_finite_block(args.clean), _read_finite_block(args.est)
         rows.append({"metric": "rsnr_db", "param": "block",
                      "value": metrics.rsnr(clean, est)})
     if args.series is not None:

@@ -10,7 +10,8 @@ For a symmetric positive-definite matrix the SVD and the symmetric
 eigendecomposition coincide; the eigendecomposition is used because it is
 cheaper and returns an orthonormal basis by construction.  The inverse is
 never formed densely: eigenvalues of the inverse are reciprocals of the
-kernel's eigenvalues.
+kernel's eigenvalues.  Neither is the M x M basis when a caller keeps only
+the leading modes: ``decompose`` fills just those columns.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ JITTER = 1e-8
 class CovarianceBasis:
     """Eigenbasis of the inverse correlation (precision), built from its first row.
 
-    vectors            (M x M, or the solver's kept M x r) orthonormal
+    vectors            (M x M, or the kept M x r) orthonormal
                        eigenvectors, column i paired with
     precision_eigvals  eigenvalue i of the inverse correlation, sorted
                        descending (and therefore all positive).
@@ -53,14 +54,14 @@ def build_correlation(num_signals: int, lengthscale: float = DEFAULT_LENGTHSCALE
     """
     if num_signals < 1:
         raise ValueError("num_signals must be >= 1")
-    if not lengthscale > 0:
-        raise ValueError("need lengthscale > 0")
+    if not 0 < lengthscale < np.inf:
+        raise ValueError("need a finite lengthscale > 0")
     row = np.exp(-((np.arange(num_signals, dtype=float) / lengthscale) ** 2))
     row[0] += JITTER
     return row
 
 
-def decompose(row: np.ndarray) -> CovarianceBasis:
+def decompose(row: np.ndarray, cutoff: float = 0.0) -> CovarianceBasis:
     """Eigendecompose the inverse of the symmetric Toeplitz C with first row ``row``.
 
     C is centrosymmetric (J C J = C, J the reversal), so its eigenproblem splits
@@ -69,8 +70,11 @@ def decompose(row: np.ndarray) -> CovarianceBasis:
     Hankel entries row[M - 1 - i - j], both views of the row.  The symmetric modes
     [x; Jx] / sqrt(2) come from C11 + C12 J (for odd M bordered by the
     middle row, scaled by sqrt(2), which gives their middle entry) and the
-    antisymmetric modes [x; -Jx] / sqrt(2) from C11 - C12 J.  Both fill one
-    M x M basis in ascending kernel order.  ``row`` must be non-empty and 1-D.
+    antisymmetric modes [x; -Jx] / sqrt(2) from C11 - C12 J.  The r modes kept,
+    those whose kernel eigenvalue is at least ``cutoff`` times the largest (all
+    M at the default 0), are each half's trailing eigenvectors; read as views,
+    they fill one M x r basis in ascending kernel order.  ``row`` must be
+    non-empty and 1-D.
 
     Kernel eigenvalues below JITTER/10 are floored there before
     reciprocation; those directions are already jitter-dominated and the
@@ -94,17 +98,19 @@ def decompose(row: np.ndarray) -> CovarianceBasis:
         raise NotPositiveDefiniteError(
             f"eigendecomposition found non-positive eigenvalue {eigvals.min()}"
         )
-    order = np.argsort(eigvals, kind="stable")
-    rank = np.argsort(order)  # column of each eigenpair in ascending order
-    vectors = np.zeros((row.size, row.size))  # zero: the antisymmetric middle entries
-    for vecs, cols, sign in ((sym_vecs, rank[: half + odd], 1.0),
-                             (anti_vecs, rank[half + odd :], -1.0)):
+    precision = 1.0 / np.maximum(eigvals, JITTER / 10.0)
+    kept = precision * cutoff <= precision.min()  # each half's trailing modes
+    n_sym = np.count_nonzero(kept[: half + odd])
+    order = np.argsort(eigvals[kept], kind="stable")
+    rank = np.argsort(order)  # column of each kept eigenpair in ascending order
+    vectors = np.zeros((row.size, order.size))  # zero: the antisymmetric middle entries
+    for vecs, cols, sign in ((sym_vecs[:, half + odd - n_sym :], rank[:n_sym], 1.0),
+                             (anti_vecs[:, half - order.size + n_sym :], rank[n_sym:], -1.0)):
         vecs[:half] *= np.sqrt(0.5)
         vectors[: len(vecs), cols] = vecs
         vecs *= sign
         vectors[row.size - half :, cols] = vecs[:half][::-1]
-    eigvals = np.maximum(eigvals[order], JITTER / 10.0)  # ascending: precisions descend
-    return CovarianceBasis(vectors=vectors, precision_eigvals=1.0 / eigvals)
+    return CovarianceBasis(vectors=vectors, precision_eigvals=precision[kept][order])
 
 
 def shrinkage_filter(

@@ -12,13 +12,13 @@ The starts run as one batch (Moré 1978, "The Levenberg-Marquardt
 algorithm: implementation and theory"): each round solves the damped
 3 x 3 systems of all starts still iterating as one stack, and each pass
 of trial steps evaluates the model and its jacobian together, in one
-``brown._model_and_jacobian`` call on the n x K rows.  An accepted trial
-carries its jacobian into the next round, so only the starts go through
-``BrownParams`` and the public ``brown_waveform`` and ``brown_jacobian``.
-Every start keeps its own damping, rejections, convergence test and
-iteration cap, so its result does not depend on which other starts share
-its batch.  A start that cannot descend is dropped; the fit raises
-DivergedError only when every start is dropped.
+``brown._model_and_jacobian`` call on the n x K rows.  A start carries only
+its 3 x 3 normal equations J^T J and J^T r into the next round, so only the
+starts go through ``BrownParams`` and the public ``brown_waveform`` and
+``brown_jacobian``.  Every start keeps its own damping, rejections,
+convergence test and iteration cap, so its result does not depend on which
+other starts share its batch.  A start that cannot descend is dropped; the
+fit raises DivergedError only when every start is dropped.
 
 ``fit_block`` uses the smoothness of the track.  It fits the columns in
 consecutive batches of ``FIT_BATCH``, one batched run per batch, with every
@@ -104,22 +104,28 @@ def _solve(systems: np.ndarray, rhs: np.ndarray):
         return steps, solved
 
 
+def _normal_equations(jac: np.ndarray, resid: np.ndarray):
+    """J^T J and J^T r of each C-contiguous n x K x 3 jacobian and n x K residual."""
+    jac_t = jac.transpose(0, 2, 1)
+    return jac_t @ jac, (jac_t @ resid[:, :, None])[:, :, 0]
+
+
 def _lm_fit(y, consts, starts):
     """Levenberg-Marquardt from every row of the n x 3 starts at once.
 
     y holds one waveform per start, n x K, or one waveform that every start
     fits.  Each start keeps its own damping lam, iteration count and convergence
-    test.  A round forms every active start's damped normal equations from
-    its jacobian; the starts then try damped steps until each has accepted
-    one.  A rejected start stays pending and retries with its damping grown
-    by LAMBDA_GROW; after MAX_REJECTS rejections in one round it diverges,
-    unless a rejected step passes the STEP_TOL test: the start is then at its
-    minimum, where rounding can make every step uphill, and has converged.
-    The starts are evaluated through the public ``brown_waveform`` and
-    ``brown_jacobian``.  Each pass of trials makes one ``_model_and_jacobian``
-    call, and an accepted trial carries its jacobian into the next round, so
-    a rejected trial wastes one jacobian.  Returns per start the parameters,
-    cost, iterations and the converged and diverged flags.
+    test, and its 3 x 3 J^T J and J^T r, from ``brown_jacobian`` at the start
+    and then from each accepted trial's jacobian.  A round damps them; the
+    starts then try damped steps until each has accepted one.  A rejected
+    start stays pending and retries with its damping grown by LAMBDA_GROW;
+    after MAX_REJECTS rejections in one round it diverges, unless a rejected
+    step passes the STEP_TOL test: the start is then at its minimum, where
+    rounding can make every step uphill, and has converged.  The starts are
+    evaluated through the public ``brown_waveform`` and ``brown_jacobian``.
+    Each pass of trials makes one ``_model_and_jacobian`` call, so a rejected
+    trial wastes one jacobian.  Returns per start the parameters, cost,
+    iterations and the converged and diverged flags.
     """
     theta = np.maximum(np.array(starts, dtype=float), _LOWER)
     n = len(theta)
@@ -128,7 +134,7 @@ def _lm_fit(y, consts, starts):
     # same ddot whatever other starts share its batch.
     params = BrownParams(*theta.T)
     resid = np.ascontiguousarray(y - brown_waveform(params, consts).T)
-    jac_at = brown_jacobian(params, consts)  # at each start's current theta
+    normal, grad = _normal_equations(brown_jacobian(params, consts), resid)
     cost = _rowdot(resid, resid)
     lam = np.full(n, LAMBDA_INIT)
     iterations = np.zeros(n, dtype=int)
@@ -138,12 +144,7 @@ def _lm_fit(y, consts, starts):
 
     while active.any():
         rows = np.flatnonzero(active)
-        jac = jac_at[rows]
-        jac_t = jac.transpose(0, 2, 1)
-        grad = (jac_t @ resid[rows][:, :, None])[:, :, 0]
-        normal = jac_t @ jac
-        del jac, jac_t  # freed before the trials: keeps the estimate step's peak memory down
-        damping = np.diagonal(normal, axis1=1, axis2=2).copy()
+        damping = np.diagonal(normal[rows], axis1=1, axis2=2).copy()
         # keeps zero columns solvable
         damping += 1e-12 * np.maximum(damping.max(axis=1), 1.0)[:, None]
         damping = np.eye(3) * damping[:, None, :]
@@ -152,8 +153,7 @@ def _lm_fit(y, consts, starts):
         pending = np.arange(len(rows))  # positions in rows still without an accepted step
         for _ in range(MAX_REJECTS):
             at = rows[pending]
-            steps, solved = _solve(normal[pending] + lam[at, None, None] * damping[pending],
-                                   grad[pending])
+            steps, solved = _solve(normal[at] + lam[at, None, None] * damping[pending], grad[at])
             tried, steps = at[solved], steps[solved]
             trial = np.maximum(theta[tried] + steps, _LOWER)
             wave, trial_jac = _model_and_jacobian(trial, consts)
@@ -162,7 +162,7 @@ def _lm_fit(y, consts, starts):
             better = trial_cost <= cost[tried]
             won = tried[better]
             theta[won], resid[won] = trial[better], trial_resid[better]
-            jac_at[won] = trial_jac[better]
+            normal[won], grad[won] = _normal_equations(trial_jac[better], resid[won])
             del wave, trial_jac
             cost[won] = trial_cost[better]
             lam[won] = np.maximum(lam[won] / LAMBDA_SHRINK, 1e-12)

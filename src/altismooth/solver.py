@@ -19,7 +19,7 @@ modes have coefficients F * C (F the per-gate diagonal shrinkage), so each
 sweep gets both statistics from F and one weighted reduction: a gate's
 residual power sum((1 - F)**2 * C**2) plus the tail energy |y_k|^2 - |c_k|^2
 of its dropped modes, and its prior energy sum(F**2 * p * C**2).
-(F * C) V_r^T is formed once, at the end.
+(F * C) V_r^T is formed once, into the output; no M x M basis is built.
 
 Sweep order per iteration: rows s_k (all gates), then the variances and
 then the auxiliaries of the noise and energy chains, which share no node and
@@ -54,7 +54,7 @@ class SolverConfig:
     """Knobs of the denoiser.
 
     zeta / eta   coupling strengths of the noise / energy chains (finite, > 1)
-    xi           relative cost-change stopping threshold
+    xi           relative cost-change stopping threshold (finite, > 0)
     t_max        sweep cap
     lengthscale  SE correlation length over the signal index
     """
@@ -68,8 +68,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (1 < self.zeta < np.inf and 1 < self.eta < np.inf):
             raise ValueError("zeta and eta must be finite and > 1")
-        if not (self.xi > 0 and self.t_max >= 1):
-            raise ValueError("need xi > 0 and t_max >= 1")
+        if not (0 < self.xi < np.inf and self.t_max >= 1):
+            raise ValueError("need a finite xi > 0 and t_max >= 1")
 
 
 @dataclass
@@ -121,22 +121,16 @@ def _sweep(weighted, tail, kept, num_signals, chain):
     return filt, _cost(chain, stats, num_signals)
 
 
-def _kept_modes(basis: CovarianceBasis) -> CovarianceBasis:
-    """The contiguous M x r basis of the kept modes; a kept basis keeps all, uncopied."""
-    prec = basis.precision_eigvals  # descending, so the kept modes trail
-    first = prec.size - int(np.count_nonzero(prec * MODE_CUTOFF <= prec[-1]))
-    return CovarianceBasis(np.ascontiguousarray(basis.vectors[:, first:]), prec[first:])
-
-
 def denoise(
     block: np.ndarray,
     config: SolverConfig | None = None,
     basis: CovarianceBasis | None = None,
+    out: np.ndarray | None = None,
 ) -> SolverState:
-    """Denoise one K x M block.
+    """Denoise one K x M block, into ``out`` if given.
 
-    ``basis`` may be supplied to reuse a precomputed eigenbasis for this M,
-    full or kept (``denoise_stream`` passes the kept one); else it is built.
+    ``basis`` may be supplied to reuse a precomputed eigenbasis for this M;
+    the sweeps run on all of its modes.  Else the kept modes are built.
     """
     config = config or SolverConfig()
     block = np.asarray(block, dtype=float)
@@ -147,36 +141,37 @@ def denoise(
         raise NonFiniteError("input block has non-finite values or row energies")
     num_signals = block.shape[1]
     if basis is None:
-        basis = decompose(build_correlation(num_signals, config.lengthscale))
+        basis = decompose(build_correlation(num_signals, config.lengthscale), MODE_CUTOFF)
     elif basis.size != num_signals:
         raise ShapeMismatchError(
             f"basis size {basis.size} does not match block width {num_signals}"
         )
 
     chain = _initial_state(block, config)
-    kept = _kept_modes(basis)
-    coeffs = block @ kept.vectors  # row k holds the kept coefficients of y_k
+    coeffs = block @ basis.vectors  # row k holds the kept coefficients of y_k
     weighted = np.empty((2,) + coeffs.shape)  # c**2 and p * c**2, for _sweep
     np.square(coeffs, out=weighted[0])
-    np.multiply(weighted[0], kept.precision_eigvals, out=weighted[1])
+    np.multiply(weighted[0], basis.precision_eigvals, out=weighted[1])
     tail = np.maximum(row_energy - weighted[0].sum(axis=1), 0.0)
 
     trace: list[float] = []
     stop_reason = "max-iterations"
     for _ in range(config.t_max):
-        filt, value = _sweep(weighted, tail, kept, num_signals, chain)
+        filt, value = _sweep(weighted, tail, basis, num_signals, chain)
         trace.append(value)
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= config.xi * abs(trace[-2]):
             stop_reason = "converged"
             break
 
+    del weighted  # freed before the back-projection
+    filt *= coeffs
     return SolverState(
-        (filt * coeffs) @ kept.vectors.T,
+        np.matmul(filt, basis.vectors.T, out=out),
         *chain,  # its noise and energy chains
         cost_trace=trace,
         iterations=len(trace),
         stop_reason=stop_reason,
-        modes=kept.vectors.shape[1],
+        modes=basis.vectors.shape[1],
     )
 
 
@@ -196,9 +191,10 @@ def denoise_stream(
     """Denoise a K x N block in independent consecutive chunks of width M.
 
     Chunks run serially (BLAS owns the threading) and share the precomputed
-    kept M x r modes for their width; a shorter final chunk gets its own.  A
-    state's ``denoised`` is a view of its slice of the returned track, so the
-    stream holds its output, the kept bases and one chunk's scratch.
+    kept M x r modes for their width; a shorter final chunk gets its own.  Each
+    chunk is back-projected straight into its slice of the returned track, which
+    its state's ``denoised`` views, so the stream holds its output, the kept
+    bases and one chunk's scratch.
     """
     config = config or SolverConfig()
     block = np.asarray(block, dtype=float)
@@ -210,15 +206,11 @@ def denoise_stream(
     for sl in slices:
         width = sl.stop - sl.start
         if width not in bases:
-            bases[width] = _kept_modes(decompose(build_correlation(width, config.lengthscale)))
+            bases[width] = decompose(build_correlation(width, config.lengthscale), MODE_CUTOFF)
 
     out = np.empty_like(block)
-    states = []
-    for sl in slices:
-        state = denoise(block[:, sl], config, bases[sl.stop - sl.start])
-        out[:, sl] = state.denoised
-        state.denoised = out[:, sl]
-        states.append(state)
+    states = [denoise(block[:, sl], config, bases[sl.stop - sl.start], out[:, sl])
+              for sl in slices]
     if with_states:
         return out, states
     return out

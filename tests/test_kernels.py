@@ -148,6 +148,26 @@ class TestSplitBasis:
         theirs = full_vectors[:, full_kept] @ full_vectors[:, full_kept].T
         assert np.abs(ours - theirs).max() <= 1e-9
 
+    @pytest.mark.parametrize("size", [*range(1, 40), 64, 199, 200, 201, 500, 501])
+    def test_kept_modes_are_the_trailing_modes_bit_for_bit(self, size):
+        for lengthscale in (30.0, 7.3, 1.5):
+            row = build_correlation(size, lengthscale)
+            full, kept = decompose(row), decompose(row, MODE_CUTOFF)
+            prec = full.precision_eigvals
+            r = int(np.count_nonzero(prec * MODE_CUTOFF <= prec[-1]))
+            assert kept.vectors.shape == (size, r) and kept.vectors.flags.c_contiguous
+            assert np.array_equal(kept.vectors, full.vectors[:, size - r:])
+            assert np.array_equal(kept.precision_eigvals, prec[size - r:])
+
+    def test_kept_basis_transient_stays_near_the_basis(self):
+        # the kept 500 x 49 modes are read from views of each half's trailing
+        # eigenvectors, so the two half-size eigensolves set the peak: 1.05 x
+        # 8 M^2 bytes (1.52 x when the M x M basis was filled and then cut)
+        size = 500
+        decompose(build_correlation(size), MODE_CUTOFF)
+        peak = peak_bytes(lambda: decompose(build_correlation(size), MODE_CUTOFF))
+        assert peak <= 1.1 * 8 * size**2
+
     def test_basis_transient_stays_near_the_basis(self):
         # the M x M basis and the two half-size eigenvector sets it is filled
         # from are 1.5 x 8 M^2 bytes; the M x M correlation matrix is never formed

@@ -105,11 +105,12 @@ class TestTrajectories:
         assert np.array_equal(alt.brown_waveform(traj, consts), alt.clean_block(traj, consts))
 
     def test_clean_block_peak_stays_near_the_block(self, consts):
-        # the model is evaluated in blocks of columns straight into the output
+        # the model is evaluated in blocks of columns straight into the output,
+        # its scratch 0.39 MB (0.43 MB before its terms were computed in place)
         traj = make_trajectory("smooth-random", 5000, swh_range=(3.4, 5.4),
                                tau_range=(14.3, 15.0), pu_range=(150.0, 190.0), seed=8)
         block = alt.clean_block(traj, consts)
-        assert peak_bytes(alt.clean_block, traj, consts) <= block.nbytes + 0.5e6
+        assert peak_bytes(alt.clean_block, traj, consts) <= block.nbytes + 0.42e6
 
     def test_file_round_trip(self, tmp_path):
         traj = make_trajectory("smooth-random", 50, swh_range=(3.4, 5.4),
