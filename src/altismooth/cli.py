@@ -13,6 +13,7 @@ failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import dataclass, field
@@ -60,6 +61,7 @@ def _parse_ints(text: str) -> list[int]:
     return [int(p) for p in text.split(",") if p]
 
 
+@functools.cache  # one parser per process, built on first use; callers only parse with it
 def build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)  # the commands that draw random numbers
     seeded.add_argument("--seed", type=int, default=0, help="master RNG seed")

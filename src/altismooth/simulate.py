@@ -5,18 +5,14 @@ scaled by an independent Gamma(L, 1/L) draw (mean 1, variance 1/L), the
 standard L-look intensity model.  Averaging L looks is what lets the
 downstream solver treat the noise as approximately Gaussian.
 
-Randomness is reproducible across platforms and across serial/parallel
-generation: column m draws from PCG64(SeedSequence(seed, spawn_key=(m,))),
-so column streams depend only on (seed, m).  Building those objects per
-column costs five times the column's draws, so `_column_streams` derives
-all columns' PCG64 states from SeedSequence's hash in one vectorised pass;
-test_simulate pins it byte for byte to numpy's own seeding, so a change in
-numpy's algorithm fails there.
+Randomness is reproducible across platforms: a block's noise is one
+default_rng(seed) stream drawn signal by signal, K draws per column, so
+column m's draws depend only on (seed, m) and the first m columns of a
+block do not depend on its width.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +24,7 @@ TRAJECTORY_KINDS = ("constant", "smooth-random", "file")
 NOISE_MODES = ("multiplicative-speckle", "additive-gaussian")
 
 SMOOTH_WINDOW = 50
+NOISE_BATCH = 32  # signals drawn per call in corrupt; its scratch is NOISE_BATCH x K
 STEP_CAP_FRAC = 0.25  # of the span, per step, for trajectories read from file
 
 
@@ -58,56 +55,6 @@ class NoiseSpec:
         var = np.asarray(0.0 if self.noise_var is None else self.noise_var, dtype=float)
         if not (np.all(np.isfinite(var)) and np.all(var >= 0)):
             raise ValueError("noise_var must be finite and >= 0")
-
-
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and
-# PCG64's LCG multiplier (numpy/random/src/pcg64/pcg64.h).
-_MASK32, _MASK128, _POOL_SIZE = (1 << 32) - 1, (1 << 128) - 1, 4
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's running hash; works on ints and uint64 arrays alike."""
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-    return hashmix
-
-
-def _mix(x, y):
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ result >> 16
-
-
-def _column_streams(seed: int, num_columns: int):
-    """Yield column m's generator, PCG64(SeedSequence(seed, spawn_key=(m,))), for
-    each m: one generator re-seeded in place, so draw before advancing."""
-    seed = int(seed)  # as uint32 words, zero-padded to the pool size since spawn_key is set
-    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 32 * _POOL_SIZE), 32)]
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
-    for src, dst in itertools.permutations(range(_POOL_SIZE), 2):
-        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    # Seed words past the pool, then the spawn word m, after the cross-mix.
-    for word in [*words[_POOL_SIZE:], np.arange(num_columns, dtype=np.uint64)]:
-        pool = [_mix(p, hashmix(word)) for p in pool]
-    # generate_state(4, uint64): eight uint32 words, paired little-endian.
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    state = [hashmix(pool[i % _POOL_SIZE]) for i in range(8)]
-    halves = [(state[i] | state[i + 1] << 32).tolist() for i in range(0, 8, 2)]
-    rng = np.random.Generator(np.random.PCG64(0))
-    for s_hi, s_lo, i_hi, i_lo in zip(*halves):
-        # pcg64_set_seed: inc = 2·initseq + 1, two LCG steps around adding initstate.
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        lcg = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
-                                   "uinteger": 0, "state": {"state": lcg, "inc": inc}}
-        yield rng
 
 
 def _smooth_series(rng: np.random.Generator, length: int, lo: float, hi: float):
@@ -216,22 +163,32 @@ def clean_block(traj: BrownParams, consts: BrownConstants) -> np.ndarray:
 
 
 def corrupt(clean: np.ndarray, spec: NoiseSpec) -> np.ndarray:
-    """Apply the configured noise to a clean block, column stream by column."""
+    """Apply the configured noise to a clean block.
+
+    The draws come from one default_rng(spec.seed) stream, signal by signal:
+    the speckled block equals ``clean * default_rng(seed).gamma(L, 1/L, (N, K)).T``
+    bit for bit (``standard_normal`` scaled by the per-gate std, plus clean, in
+    the additive mode).  They are drawn NOISE_BATCH signals at a time straight
+    into the output, so no third block-sized array is held.
+    """
     clean = np.asarray(clean, dtype=float)
     if clean.ndim != 2:
         raise ShapeMismatchError("clean block must be 2-D (gates x signals)")
     if not np.all(np.isfinite(clean)):
         raise ValueError("clean block must be finite")
     num_gates, num_signals = clean.shape
+    rng = np.random.default_rng(spec.seed)
+    speckle = spec.mode == "multiplicative-speckle"
     noisy = np.empty_like(clean)
-    streams = enumerate(_column_streams(spec.seed, num_signals))
-    if spec.mode == "multiplicative-speckle":
-        for m, rng in streams:
-            gain = rng.gamma(shape=spec.looks, scale=1.0 / spec.looks, size=num_gates)
-            noisy[:, m] = clean[:, m] * gain
+    for start in range(0, num_signals, NOISE_BATCH):
+        batch = noisy[:, start:start + NOISE_BATCH]  # a view: the draws land in the output
+        size = batch.shape[::-1]
+        batch[:] = (rng.gamma(spec.looks, 1.0 / spec.looks, size) if speckle
+                    else rng.standard_normal(size)).T
+    if speckle:
+        noisy *= clean
     else:
-        std = np.sqrt(np.broadcast_to(np.asarray(spec.noise_var, dtype=float),
-                                      (num_gates,)))
-        for m, rng in streams:
-            noisy[:, m] = clean[:, m] + rng.standard_normal(num_gates) * std
+        noisy *= np.sqrt(np.broadcast_to(np.asarray(spec.noise_var, dtype=float),
+                                         (num_gates,)))[:, None]
+        noisy += clean
     return noisy

@@ -266,26 +266,3 @@ def naive_lm_fit(y, consts, theta0):
         if np.linalg.norm(step) <= retrack.STEP_TOL * (np.linalg.norm(theta) + retrack.STEP_TOL):
             return theta, cost, iteration, True
     return theta, cost, retrack.MAX_ITERATIONS, False
-
-
-def _column_rng(seed: int, column: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(column,)))
-
-
-def naive_corrupt(clean, spec) -> np.ndarray:
-    """``simulate.corrupt`` with numpy's own per-column SeedSequence seeding."""
-    num_gates, num_signals = clean.shape
-    noisy = np.empty_like(clean)
-    if spec.mode == "multiplicative-speckle":
-        for m in range(num_signals):
-            gain = _column_rng(spec.seed, m).gamma(
-                shape=spec.looks, scale=1.0 / spec.looks, size=num_gates
-            )
-            noisy[:, m] = clean[:, m] * gain
-    else:
-        std = np.sqrt(np.broadcast_to(np.asarray(spec.noise_var, dtype=float),
-                                      (num_gates,)))
-        for m in range(num_signals):
-            noise = _column_rng(spec.seed, m).standard_normal(num_gates) * std
-            noisy[:, m] = clean[:, m] + noise
-    return noisy

@@ -51,6 +51,14 @@ class TestGenerate:
         for name, want in digests.items():
             assert digest(tmp_path / name) == want
 
+    def test_narrow_block_is_a_prefix_of_a_wide_one(self, tmp_path):
+        # one noise stream drawn signal by signal: the width changes no column
+        for n in (40, 200):
+            assert run("generate", "--traj", "constant", "--n", n, "--seed", 4,
+                       "--out-dir", tmp_path / str(n)) == 0
+        narrow, wide = (blockio.read_block(tmp_path / str(n) / "noisy.blk") for n in (40, 200))
+        assert narrow.tobytes() == np.ascontiguousarray(wide[:, :40]).tobytes()
+
     def test_manifest_round_trip_reproduces_outputs(self, tmp_path):
         assert run("generate", "--n", 24, "--seed", 5, "--out-dir", tmp_path) == 0
         manifest = blockio.read_manifest(tmp_path / "generate.manifest.json")

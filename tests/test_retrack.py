@@ -272,11 +272,15 @@ class TestFitBlock:
         assert fits.warm.sum() >= 65
 
     def _swh0_block(self, consts):
-        # speckled swh = 0 waveforms: the grid fits column 0 at swh > 0 and
-        # columns 1 and 2 on the swh = 0 boundary
+        # speckled swh = 0 waveforms, picked from twelve draws so that the grid
+        # fits column 0 at swh > 0 and columns 1 and 2 on the swh = 0 boundary
         _, y0 = exact_waveform(consts, swh=0.0)
-        block = alt.corrupt(np.repeat(y0[:, None], 3, axis=1), alt.NoiseSpec(looks=90.0, seed=1))
-        grid = [ls_fit(y, consts) for y in block.T]
+        draws = alt.corrupt(np.repeat(y0[:, None], 12, axis=1), alt.NoiseSpec(looks=90.0, seed=1))
+        fits = [ls_fit(y, consts) for y in draws.T]
+        on_boundary = [m for m, fit in enumerate(fits) if fit.params.swh == 0]
+        above = [m for m, fit in enumerate(fits) if fit.params.swh > 0]
+        picked = above[:1] + on_boundary[:2]
+        block, grid = draws[:, picked], [fits[m] for m in picked]
         assert grid[0].params.swh > 0 and grid[1].params.swh == 0 == grid[2].params.swh
         return block, grid
 

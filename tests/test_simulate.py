@@ -7,7 +7,6 @@ from altismooth.blockio import write_trajectory_csv
 from altismooth.simulate import NOISE_MODES, corrupt, make_trajectory
 
 from conftest import peak_bytes
-from oracles import naive_corrupt
 
 
 class TestTrajectories:
@@ -165,8 +164,8 @@ class TestSpeckle:
         a = corrupt(clean, NoiseSpec(looks=90.0, seed=4))
         b = corrupt(clean, NoiseSpec(looks=90.0, seed=4))
         assert np.array_equal(a, b)
-        # column streams depend only on (seed, column): a narrower block
-        # reproduces the same leading columns
+        # one stream drawn signal by signal: a narrower block reproduces
+        # the same leading columns
         c = corrupt(clean[:, :10], NoiseSpec(looks=90.0, seed=4))
         assert np.array_equal(a[:, :10], c)
 
@@ -215,20 +214,26 @@ class TestSpeckle:
         assert np.array_equal(a, corrupt(clean, NoiseSpec(seed=2**64 - 1)))
 
 
-class TestColumnSeeding:
-    """``corrupt`` derives every column's PCG64 state in one pass; it must be
-    byte-identical to building SeedSequence(seed, spawn_key=(m,)) per column."""
+class TestBlockStream:
+    """``corrupt`` draws one default_rng(seed) stream signal by signal, in
+    slices of NOISE_BATCH signals; it must equal the one-call reference bit
+    for bit, a ragged last slice included."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 5])
-    @pytest.mark.parametrize("width", [1, 7, 300])
+    @pytest.mark.parametrize("width", [1, 7, 33, 300])
     @pytest.mark.parametrize("spec_kwargs", [
         dict(looks=90.0),
         dict(looks=3.5, mode="additive-gaussian", noise_var=np.linspace(0.5, 4.0, 13)),
     ], ids=["speckle", "additive"])
-    def test_matches_per_column_seed_sequence(self, seed, width, spec_kwargs):
+    def test_matches_one_stream_reference(self, seed, width, spec_kwargs):
         clean = np.random.default_rng(width).uniform(0.5, 2.0, size=(13, width))
         spec = NoiseSpec(seed=seed, **spec_kwargs)
-        assert corrupt(clean, spec).tobytes() == naive_corrupt(clean, spec).tobytes()
+        rng = np.random.default_rng(seed)
+        if spec.mode == "multiplicative-speckle":
+            expected = clean * rng.gamma(spec.looks, 1.0 / spec.looks, (width, 13)).T
+        else:
+            expected = clean + np.sqrt(spec.noise_var)[:, None] * rng.standard_normal((width, 13)).T
+        assert corrupt(clean, spec).tobytes() == expected.tobytes()
 
 
 class TestInputRsnr:

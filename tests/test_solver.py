@@ -246,11 +246,13 @@ class TestStream:
         _, noisy = brown_block(consts, 60, seed=11)
         assert np.array_equal(denoise_stream(noisy, 60), denoise(noisy).denoised)
 
-    def test_chunks_are_independent(self, consts):
-        _, noisy = brown_block(consts, 90, seed=12)
+    @pytest.mark.parametrize("num_signals", [90, 100], ids=["even", "ragged-tail"])
+    def test_chunks_are_independent(self, consts, num_signals):
+        # each chunk, the 10-signal tail included, equals its own denoise
+        _, noisy = brown_block(consts, num_signals, seed=12)
         streamed = denoise_stream(noisy, 30)
         by_hand = np.hstack([
-            denoise(noisy[:, i:i + 30]).denoised for i in (0, 30, 60)
+            denoise(noisy[:, i:i + 30]).denoised for i in range(0, num_signals, 30)
         ])
         assert np.array_equal(streamed, by_hand)
 
