@@ -22,7 +22,6 @@ from .brown import (
     gates_to_meters,
     jason2_like,
     load_constants,
-    meters_to_gates,
     sigma_c_sq,
     waveform_block,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "load_constants",
     "ls_fit",
     "make_trajectory",
-    "meters_to_gates",
     "rmse",
     "rsnr",
     "sigma_c_sq",

@@ -83,7 +83,11 @@ def read_trajectory_csv(path):
         missing = {"swh_m", "tau_m", "pu"} - set(reader.fieldnames or ())
         if missing:
             raise ValueError(f"{path}: CSV missing columns {missing}")
-        rows = [(float(r["swh_m"]), float(r["tau_m"]), float(r["pu"])) for r in reader]
+        try:
+            rows = [(float(r["swh_m"]), float(r["tau_m"]), float(r["pu"])) for r in reader]
+        except (TypeError, ValueError):  # TypeError: a short row leaves a cell None
+            raise ValueError(f"{path}: line {reader.line_num}: swh_m, tau_m and pu "
+                             "must be numbers") from None
     if not rows:
         raise ValueError(f"{path}: empty CSV")
     arr = np.asarray(rows, dtype=float)
@@ -138,8 +142,3 @@ def write_manifest(path, subcommand: str, args: dict, outputs: dict,
         "wallclock_seconds": time.time() - started,
     }
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True).encode() + b"\n")
-
-
-def read_manifest(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

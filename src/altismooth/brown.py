@@ -30,7 +30,7 @@ _SQRT2 = np.sqrt(2.0)
 _TWO_OVER_SQRTPI = 2.0 / np.sqrt(np.pi)
 
 PROFILE_KEYS = ("alpha", "sigma_p", "c", "gate_resolution", "num_gates")
-WAVEFORM_COLUMNS = 128  # columns per evaluation block of _waveform
+WAVEFORM_COLUMNS = 128  # columns per evaluation block of brown_waveform
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,6 @@ def gates_to_meters(gates, consts: BrownConstants):
     return np.asarray(gates, dtype=float) * consts.gate_in_meters
 
 
-def meters_to_gates(meters, consts: BrownConstants):
-    return np.asarray(meters, dtype=float) / consts.gate_in_meters
-
-
 def sigma_c_sq(params: BrownParams, consts: BrownConstants) -> float:
     """Squared leading-edge width (SWH/(2c))^2 + sigma_p^2, in seconds^2."""
     return (params.swh / (2.0 * consts.c)) ** 2 + consts.sigma_p**2
@@ -158,24 +154,6 @@ def _edge_terms(swh, tau, t, consts: BrownConstants):
     return dt, sc2, sc, u, v
 
 
-def _waveform(swh, tau, pu, consts: BrownConstants) -> np.ndarray:
-    """K x M model block of validated, broadcastable parameter arrays, evaluated and
-    checked WAVEFORM_COLUMNS columns at a time straight into the block, so that the
-    temporaries stay K x WAVEFORM_COLUMNS; every entry is the same to the bit."""
-    params = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (swh, tau, pu))
-    swh, tau, pu = np.broadcast_arrays(*params)
-    times = consts.gate_times()[:, None]
-    block = np.empty((times.size, swh.size))
-    for start in range(0, swh.size, WAVEFORM_COLUMNS):
-        cols = slice(start, start + WAVEFORM_COLUMNS)
-        part = block[:, cols]
-        _stable_terms(*_edge_terms(swh[cols], tau[cols], times, consts)[3:], out=part)
-        np.multiply(part, 0.5 * pu[cols], out=part)
-        if not np.isfinite(part).all():
-            raise NonFiniteError("waveform evaluation produced non-finite samples")
-    return block
-
-
 def _model_and_jacobian(theta: np.ndarray, consts: BrownConstants):
     """Model and jacobian of the n x 3 rows (swh, tau, pu) of theta, from one set of edge terms.
 
@@ -222,25 +200,34 @@ def _model_and_jacobian(theta: np.ndarray, consts: BrownConstants):
 def waveform_block(swh, tau, pu, consts: BrownConstants) -> np.ndarray:
     """Evaluate the model for M parameter triplets at once.
 
-    swh, tau, pu are broadcastable 1-D arrays (tau in meters).  Returns the
-    (K x M) block whose column m is the waveform of triplet m.
+    swh, tau, pu are broadcastable 1-D arrays or scalars (tau in meters),
+    validated and evaluated by ``brown_waveform``.  Returns the (K x M) block
+    whose column m is the waveform of triplet m.
     """
-    swh = np.atleast_1d(np.asarray(swh, dtype=float))
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    pu = np.atleast_1d(np.asarray(pu, dtype=float))
-    swh, tau, pu = np.broadcast_arrays(swh, tau, pu)
-    if np.any(swh < 0) or np.any(pu < 0):
-        raise ValueError("swh and pu must be non-negative")
-    return _waveform(swh, tau, pu, consts)
+    params = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (swh, tau, pu))
+    return brown_waveform(BrownParams(*np.broadcast_arrays(*params)), consts)
 
 
 def brown_waveform(params: BrownParams, consts: BrownConstants) -> np.ndarray:
     """Sampled waveform s(k*T), k = 1..K.
 
     A length-K vector for one triplet; for a batch of n, the K x n block
-    whose column i is the waveform of triplet i.
+    whose column i is the waveform of triplet i.  The block is evaluated and
+    checked WAVEFORM_COLUMNS columns at a time straight into place, so that
+    the temporaries stay K x WAVEFORM_COLUMNS; every entry is the same to the
+    bit for any batch.
     """
-    block = _waveform(params.swh, params.tau, params.pu, consts)
+    swh, tau, pu = (np.atleast_1d(np.asarray(x, dtype=float))
+                    for x in (params.swh, params.tau, params.pu))
+    times = consts.gate_times()[:, None]
+    block = np.empty((times.size, swh.size))
+    for start in range(0, swh.size, WAVEFORM_COLUMNS):
+        cols = slice(start, start + WAVEFORM_COLUMNS)
+        part = block[:, cols]
+        _stable_terms(*_edge_terms(swh[cols], tau[cols], times, consts)[3:], out=part)
+        np.multiply(part, 0.5 * pu[cols], out=part)
+        if not np.isfinite(part).all():
+            raise NonFiniteError("waveform evaluation produced non-finite samples")
     return block if np.ndim(params.swh) else block[:, 0]
 
 

@@ -61,7 +61,7 @@ class TestGenerate:
 
     def test_manifest_round_trip_reproduces_outputs(self, tmp_path):
         assert run("generate", "--n", 24, "--seed", 5, "--out-dir", tmp_path) == 0
-        manifest = blockio.read_manifest(tmp_path / "generate.manifest.json")
+        manifest = json.loads((tmp_path / "generate.manifest.json").read_text())
         digests = {name: digest(tmp_path / name)
                    for name in ("clean.blk", "noisy.blk", "trajectory.csv")}
         assert main(manifest["args"]["argv"]) == 0
@@ -78,7 +78,7 @@ class TestGenerate:
 
     def test_manifest_records_unread_options_as_null(self, tmp_path):
         assert run("generate", "--n", 5, "--traj", "constant", "--out-dir", tmp_path) == 0
-        args = blockio.read_manifest(tmp_path / "generate.manifest.json")["args"]
+        args = json.loads((tmp_path / "generate.manifest.json").read_text())["args"]
         assert (args["swh"], args["pu"], args["looks"]) == (2.0, 130.0, 90.0)
         unread = ("swh_range", "tau_range", "pu_range", "traj_file", "noise_var")
         assert [args[name] for name in unread] == [None] * len(unread)
@@ -128,6 +128,18 @@ class TestGenerate:
             assert run("generate", "--n", n, "--seed", seed, "--traj", "file",
                        "--traj-file", first / "trajectory.csv", "--out-dir", replay) == 0
             assert digest(replay / "clean.blk") == digest(first / "clean.blk")
+
+    @pytest.mark.parametrize("row", ["1,2.0,14.5", "1,2.0,abc,130.0"],
+                             ids=["missing-cell", "non-numeric"])
+    def test_malformed_trajectory_file_exits_two(self, tmp_path, capsys, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"index,swh_m,tau_m,pu\n0,2.0,14.5,130.0\n{row}\n")
+        code = run("generate", "--n", 2, "--traj", "file", "--traj-file", path,
+                   "--out-dir", tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 3: ") and "Traceback" not in err
+        assert not list(tmp_path.glob("*.blk"))
 
     def test_trajectory_file_with_a_jump_exits_two(self, tmp_path, capsys):
         path = tmp_path / "jump.csv"
@@ -201,7 +213,7 @@ class TestDenoiseEstimateMetrics:
             assert len(rows) == 60
             assert set(rows[0]) == {"index", "swh_m", "tau_m", "pu",
                                     "residual", "converged"}
-            args = blockio.read_manifest(f"{out}.manifest.json")["args"]
+            args = json.loads(Path(f"{out}.manifest.json").read_text())["args"]
             assert (args["chunk"], args["svd_threshold"]) == (chunk, threshold)
 
     def test_estimate_reports_grid_columns(self, generated, capsys):
@@ -242,8 +254,12 @@ class TestDenoiseEstimateMetrics:
         ("--series", "index,swh_m,tau_m,pu\n", "empty CSV"),
         ("--series", "index,swh_m,tau_m,pu\n0,nan,14.5,130.0\n", "must be finite"),
         ("--truth", "index,swh_m,tau_m,pu\n0,2.0,14.5,inf\n", "must be finite"),
+        ("--series", "index,swh_m,tau_m,pu\n0,2.0,14.5,130.0\n1,2.0,14.5\n",
+         "line 3: swh_m, tau_m and pu must be numbers"),
+        ("--truth", "index,swh_m,tau_m,pu\n0,2.0,abc,130.0\n",
+         "line 2: swh_m, tau_m and pu must be numbers"),
     ], ids=["series-missing-column", "truth-missing-column", "header-only", "series-nan",
-            "truth-inf"])
+            "truth-inf", "series-missing-cell", "truth-non-numeric"])
     def test_bad_series_csv_exits_two(self, generated, capsys, bad_flag, text, message):
         est = generated / "est.csv"
         assert run("estimate", "--input", generated / "noisy.blk",
@@ -375,7 +391,7 @@ class TestBench:
         with open(tmp_path / "table1.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["filter_length"] for r in rows] == ["40", "120"]
-        manifest = blockio.read_manifest(tmp_path / "table1.manifest.json")
+        manifest = json.loads((tmp_path / "table1.manifest.json").read_text())
         assert manifest["args"]["n"] == 120
         assert manifest["args"]["input_rsnr_db"] == pytest.approx(19.55, abs=1.5)
 
@@ -400,7 +416,7 @@ class TestBench:
     def test_manifest_records_runs_used(self, tmp_path, flags, runs):
         assert run("bench", "--suite", "table2", "--out", tmp_path,
                    "--swh-list", "2", *flags) == 0
-        manifest = blockio.read_manifest(tmp_path / "table2.manifest.json")
+        manifest = json.loads((tmp_path / "table2.manifest.json").read_text())
         assert manifest["args"]["runs"] == runs
         assert manifest["args"]["n"] is None  # table1's option, unread here
 
@@ -449,7 +465,7 @@ class TestManifestContract:
         argv, path, roles = _contract_run(subcommand, src, d)
         assert run(*argv) == 0
         assert list(d.rglob("*.manifest.json")) == [path]
-        manifest = blockio.read_manifest(path)
+        manifest = json.loads(path.read_text())
         assert manifest["subcommand"] == subcommand
         assert manifest["args"]["argv"] == [str(a) for a in argv]
         expected_seeds = {"generate": {"master", "noise"}, "bench": {"master"}}

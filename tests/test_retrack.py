@@ -199,17 +199,28 @@ def triplet(params):
 
 
 class TestFitBlock:
-    @pytest.mark.parametrize("kind, seed", [("constant", 12), ("smooth-random", 13)])
-    def test_time_reversal(self, consts, kind, seed):
+    @pytest.mark.parametrize("kind, seed, n, chunk", [
+        pytest.param("constant", 12, 120, 120, id="constant-12"),
+        pytest.param("smooth-random", 13, 120, 120, id="smooth-random-13"),
+        *(pytest.param("smooth-random", seed, 600, chunk, id=f"{name}-{seed}")
+          for seed in (7, 901) for name, chunk in (("raw", None), ("denoised", 500))),
+    ])
+    def test_time_reversal(self, consts, kind, seed, n, chunk):
         # warm starts make a column's fit depend on the visiting order; on
-        # smooth tracks both orders must still reach the same minima
-        block = track(consts, kind, 120, seed, denoised=True)
+        # smooth tracks both orders must still reach the same minima.  The
+        # largest relative gaps measured on the 600-signal tracks: 3.5e-7
+        # (swh), 5.5e-9 (tau), 3.9e-9 (pu) and 2.1e-14 (cost) at seeds 7 and
+        # 901; 5.6e-7, 1.3e-8, 9.4e-9 and 4.2e-14 at seeds 1-5.  They come
+        # from where LM's step test stops.
+        block = track(consts, kind, n, seed, denoised=False)
+        if chunk is not None:
+            block = alt.denoise_stream(block, chunk)
         forward = fit_block(block, consts)
         backward = fit_block(block[:, ::-1], consts)
-        assert forward.warm.sum() >= 110
-        assert np.all(np.abs(cost(forward) - cost(backward)[::-1]) <= 1e-9 * cost(forward))
-        assert np.allclose(triplet(forward.params), triplet(backward.params)[::-1],
-                           rtol=0.0, atol=1e-5)
+        assert forward.warm.sum() >= n - 10
+        assert np.all(np.abs(cost(backward)[::-1] - cost(forward)) <= 1e-13 * cost(forward))
+        rel = np.abs(triplet(backward.params)[::-1] / triplet(forward.params) - 1.0)
+        assert np.all(rel <= [1e-6, 5e-8, 5e-8])
 
     @pytest.mark.parametrize("denoised", [False, True])
     def test_no_column_above_grid_cost(self, consts, denoised):
