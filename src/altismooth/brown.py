@@ -51,10 +51,10 @@ class BrownConstants:
     num_gates: int = 104
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.sigma_p > 0 and self.c > 0):
-            raise ValueError("alpha, sigma_p and c must be positive")
-        if not (self.gate_resolution > 0 and self.num_gates >= 2):
-            raise ValueError("need gate_resolution > 0 and num_gates >= 2")
+        if not all(0 < x < np.inf for x in (self.alpha, self.sigma_p, self.c)):
+            raise ValueError("alpha, sigma_p and c must be positive and finite")
+        if not (0 < self.gate_resolution < np.inf and self.num_gates >= 2):
+            raise ValueError("need finite gate_resolution > 0 and num_gates >= 2")
 
     @property
     def gate_in_meters(self) -> float:
@@ -84,10 +84,6 @@ class BrownParams:
     pu: float | np.ndarray
 
     def __post_init__(self):
-        if all(isinstance(x, float) for x in (self.swh, self.tau, self.pu)):
-            if self.swh < 0 or self.pu < 0:  # NaN passes, as in the array path
-                raise ValueError("swh and pu must be non-negative")
-            return
         swh, tau, pu = np.asarray(self.swh), np.asarray(self.tau), np.asarray(self.pu)
         if swh.ndim > 1 or tau.shape != swh.shape or pu.shape != swh.shape:
             raise ValueError("swh, tau and pu must be scalars or equal-length 1-D arrays")
@@ -270,13 +266,16 @@ def load_constants(path) -> BrownConstants:
     missing = [k for k in PROFILE_KEYS if k not in values]
     if missing:
         raise ValueError(f"{path}: missing keys {missing}")
-    return BrownConstants(
-        alpha=float(values["alpha"]),
-        sigma_p=float(values["sigma_p"]),
-        c=float(values["c"]),
-        gate_resolution=float(values["gate_resolution"]),
-        num_gates=int(values["num_gates"]),
-    )
+    try:
+        return BrownConstants(
+            alpha=float(values["alpha"]),
+            sigma_p=float(values["sigma_p"]),
+            c=float(values["c"]),
+            gate_resolution=float(values["gate_resolution"]),
+            num_gates=int(values["num_gates"]),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def jason2_like() -> BrownConstants:

@@ -9,11 +9,11 @@ fractions ``TAU_GRID_FRACTIONS``, mid-window first, and keeps the lowest
 finishing cost; on a tie the earlier start wins.
 
 The starts run as one batch (Moré 1978, "The Levenberg-Marquardt
-algorithm: implementation and theory"): each round solves the damped
-3 x 3 systems of all starts still iterating as one stack, and each pass
-of trial steps evaluates the model and its jacobian together, in one
+algorithm: implementation and theory"): each pass solves the damped
+3 x 3 systems of all starts still iterating as one stack, and evaluates
+the trial steps' model and jacobian together, in one
 ``brown._model_and_jacobian`` call on the n x K rows.  A start carries only
-its 3 x 3 normal equations J^T J and J^T r into the next round, so only the
+its 3 x 3 normal equations J^T J and J^T r into the next pass, so only the
 starts go through ``BrownParams`` and the public ``brown_waveform`` and
 ``brown_jacobian``.  Every start keeps its own damping, rejections,
 convergence test and iteration cap, so its result does not depend on which
@@ -33,11 +33,14 @@ positive.  A warm fit is kept, marked ``warm``, only if
 - it costs at most ``WARM_COST_RATIO`` times the anchor's cost: neighbouring
   speckle moves the cost far less, so a larger one is another minimum.
 Any other column reruns the grid on its own, through ``ls_fit``.  Where
-minima compete, a column's fit can depend on the visiting order.  The fits fill
+minima compete, a column's fit can depend on the visiting order; on smooth
+tracks, reversing it moves swh by at most 1e-6 and tau and pu by at most 5e-8
+relative (pinned by the time-reversal tests).  The fits fill
 one ``FitResult`` of length-N arrays.  A lone start costs mostly NumPy call
 overhead, which a batch shares.  On a denoised 104 x 200 track (2-core VM),
 widths 16, 32 and 64 take 24, 19 and 18 ms and peak at 0.23, 0.43 and 0.84 MB.
-At 64 the CLI estimate step would peak at 1.05-1.07 MB; no other step passes 0.72.
+At 64 the CLI estimate step would peak at 1.05-1.07 MB; the other steps peak
+at 0.50-0.57 MB.
 
 ``svd_filter`` reconstructs a block from the smallest leading set of
 singular components whose cumulative squared-singular-value fraction
@@ -114,18 +117,18 @@ def _lm_fit(y, consts, starts):
     """Levenberg-Marquardt from every row of the n x 3 starts at once.
 
     y holds one waveform per start, n x K, or one waveform that every start
-    fits.  Each start keeps its own damping lam, iteration count and convergence
-    test, and its 3 x 3 J^T J and J^T r, from ``brown_jacobian`` at the start
-    and then from each accepted trial's jacobian.  A round damps them; the
-    starts then try damped steps until each has accepted one.  A rejected
-    start stays pending and retries with its damping grown by LAMBDA_GROW;
-    after MAX_REJECTS rejections in one round it diverges, unless a rejected
-    step passes the STEP_TOL test: the start is then at its minimum, where
-    rounding can make every step uphill, and has converged.  The starts are
-    evaluated through the public ``brown_waveform`` and ``brown_jacobian``.
-    Each pass of trials makes one ``_model_and_jacobian`` call, so a rejected
-    trial wastes one jacobian.  Returns per start the parameters, cost,
-    iterations and the converged and diverged flags.
+    fits.  Each start keeps its own damping lam, iteration and reject counts,
+    convergence test and 3 x 3 J^T J and J^T r, from ``brown_jacobian`` at the
+    start and then from each accepted trial's jacobian.  Each pass tries one
+    damped step for every active start, in one ``_solve`` and one
+    ``_model_and_jacobian`` call, so a rejected trial wastes one jacobian.
+    An iteration lasts from a start's first trial to its accepted step.  A
+    rejected or unsolvable step grows lam by LAMBDA_GROW; after MAX_REJECTS
+    in a row the start diverges, unless a rejected step passes the STEP_TOL
+    test: the start is then at its minimum, where rounding can make every
+    step uphill, and has converged.  MAX_ITERATIONS stops a start only
+    between iterations.  Returns per start the parameters, cost, iterations
+    and the converged and diverged flags.
     """
     theta = np.maximum(np.array(starts, dtype=float), _LOWER)
     n = len(theta)
@@ -137,48 +140,42 @@ def _lm_fit(y, consts, starts):
     normal, grad = _normal_equations(brown_jacobian(params, consts), resid)
     cost = _rowdot(resid, resid)
     lam = np.full(n, LAMBDA_INIT)
-    iterations = np.zeros(n, dtype=int)
+    iterations, rejects = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
     diverged = np.zeros(n, dtype=bool)
     active = np.ones(n, dtype=bool)
 
     while active.any():
-        rows = np.flatnonzero(active)
-        damping = np.diagonal(normal[rows], axis1=1, axis2=2).copy()
+        at = np.flatnonzero(active)
+        iterations[at[rejects[at] == 0]] += 1
+        damping = np.diagonal(normal[at], axis1=1, axis2=2).copy()
         # keeps zero columns solvable
         damping += 1e-12 * np.maximum(damping.max(axis=1), 1.0)[:, None]
         damping = np.eye(3) * damping[:, None, :]
-        iterations[rows] += 1
+        steps, solved = _solve(normal[at] + lam[at, None, None] * damping, grad[at])
+        tried, steps = at[solved], steps[solved]
+        trial = np.maximum(theta[tried] + steps, _LOWER)
+        wave, trial_jac = _model_and_jacobian(trial, consts)
+        trial_resid = y[tried] - wave
+        trial_cost = _rowdot(trial_resid, trial_resid)
+        better = trial_cost <= cost[tried]
+        won = tried[better]
+        theta[won], resid[won] = trial[better], trial_resid[better]
+        normal[won], grad[won] = _normal_equations(trial_jac[better], resid[won])
+        del wave, trial_jac
+        cost[won] = trial_cost[better]
+        lam[won] = np.maximum(lam[won] / LAMBDA_SHRINK, 1e-12)
+        step_norm = np.sqrt(_rowdot(steps, steps))
+        theta_norm = np.sqrt(_rowdot(theta[tried], theta[tried]))
+        short = step_norm <= STEP_TOL * (theta_norm + STEP_TOL)
+        converged[tried[short]] = True
 
-        pending = np.arange(len(rows))  # positions in rows still without an accepted step
-        for _ in range(MAX_REJECTS):
-            at = rows[pending]
-            steps, solved = _solve(normal[at] + lam[at, None, None] * damping[pending], grad[at])
-            tried, steps = at[solved], steps[solved]
-            trial = np.maximum(theta[tried] + steps, _LOWER)
-            wave, trial_jac = _model_and_jacobian(trial, consts)
-            trial_resid = y[tried] - wave
-            trial_cost = _rowdot(trial_resid, trial_resid)
-            better = trial_cost <= cost[tried]
-            won = tried[better]
-            theta[won], resid[won] = trial[better], trial_resid[better]
-            normal[won], grad[won] = _normal_equations(trial_jac[better], resid[won])
-            del wave, trial_jac
-            cost[won] = trial_cost[better]
-            lam[won] = np.maximum(lam[won] / LAMBDA_SHRINK, 1e-12)
-            step_norm = np.sqrt(_rowdot(steps, steps))
-            theta_norm = np.sqrt(_rowdot(theta[tried], theta[tried]))
-            short = step_norm <= STEP_TOL * (theta_norm + STEP_TOL)
-            converged[tried[short]] = True
-
-            rejected = ~solved
-            rejected[solved] = ~(better | short)
-            pending = pending[rejected]
-            lam[rows[pending]] *= LAMBDA_GROW
-            if not pending.size:
-                break
-        diverged[rows[pending]] = True
-        active &= ~(converged | diverged) & (iterations < MAX_ITERATIONS)
+        rejects[at] += 1
+        rejects[tried[better | short]] = 0
+        retry = at[rejects[at] > 0]
+        lam[retry] *= LAMBDA_GROW
+        diverged[retry] = rejects[retry] >= MAX_REJECTS
+        active &= ~(converged | diverged) & ((rejects > 0) | (iterations < MAX_ITERATIONS))
     return theta, cost, iterations, converged, diverged
 
 

@@ -141,6 +141,31 @@ class TestGenerate:
         assert err.startswith(f"error: {path}: line 3: ") and "Traceback" not in err
         assert not list(tmp_path.glob("*.blk"))
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("alpha", "inf", "alpha, sigma_p and c must be positive and finite"),
+        ("sigma_p", "inf", "alpha, sigma_p and c must be positive and finite"),
+        ("c", "inf", "alpha, sigma_p and c must be positive and finite"),
+        ("alpha", "nan", "alpha, sigma_p and c must be positive and finite"),
+        ("gate_resolution", "inf", "need finite gate_resolution > 0"),
+        ("alpha", "abc", "could not convert string to float: 'abc'"),
+        ("num_gates", "104.0", "invalid literal for int()"),
+    ], ids=["alpha-inf", "sigma_p-inf", "c-inf", "alpha-nan", "gate_resolution-inf",
+            "alpha-abc", "num_gates-float"])
+    def test_bad_constants_profile_exits_two(self, tmp_path, capsys, key, value, message):
+        consts = jason2_like()
+        values = {k: getattr(consts, k) for k in ("alpha", "sigma_p", "c", "gate_resolution",
+                                                   "num_gates")}
+        values[key] = value
+        path = tmp_path / "bad.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("generate", "--n", 8, "--config", path, "--out-dir", tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_trajectory_file_with_a_jump_exits_two(self, tmp_path, capsys):
         path = tmp_path / "jump.csv"
         path.write_text("index,swh_m,tau_m,pu\n" + "".join(

@@ -127,9 +127,12 @@ def log_calls(monkeypatch, names):
     return log
 
 
-def test_start_exhausting_rejects_is_dropped(consts, monkeypatch):
+@pytest.mark.parametrize("cap", [1, retrack.MAX_ITERATIONS], ids=["cap-1", "cap-default"])
+def test_start_exhausting_rejects_is_dropped(consts, monkeypatch, cap):
     # the winning start is sent uphill, so every damped step is rejected;
-    # after MAX_REJECTS it diverges and the other starts decide the fit
+    # after MAX_REJECTS it diverges and the other starts decide the fit.
+    # The iteration cap ends no iteration early, even at one iteration.
+    monkeypatch.setattr(retrack, "MAX_ITERATIONS", cap)
     y, starts, winner = wave_and_winner(consts)
     others = [s for i, s in enumerate(starts) if i != winner]
     expected, _ = best_of(y, consts, others)
