@@ -9,6 +9,9 @@ vector work on the block's eigenbasis coefficients, and the negative log
 posterior decreases monotonically until the relative change drops below the
 threshold.  Only the leading eigenmodes of the smoothness kernel are kept;
 the rest sit at the kernel's jitter, and their energy is counted as noise.
+The chains start from each gate's measured energy and the energy of its
+dropped modes, in units of g**2 with g the power of two nearest the block's
+RMS, so scaling the input by a power of two scales the output exactly.
 """
 
 from altismooth import (
@@ -36,8 +39,11 @@ print(f"track: {noisy.shape[0]} x {noisy.shape[1]}, "
 state = denoise(noisy[:, :500], SolverConfig())
 print("single 500-signal block:")
 print(f"  stopped: {state.stop_reason} after {state.iterations} sweeps")
-print("  cost trace:", "  ".join(f"{v:.4g}" for v in state.cost_trace))
-print(f"  output RSNR {rsnr(clean[:, :500], state.denoised):.2f} dB\n")
+print("  cost trace (units of g**2):", "  ".join(f"{v:.4g}" for v in state.cost_trace))
+print(f"  output RSNR {rsnr(clean[:, :500], state.denoised):.2f} dB")
+scaled = denoise(4.0 * noisy[:, :500], SolverConfig())
+assert (scaled.denoised == 4.0 * state.denoised).all(), "denoise(4 Y) != 4 denoise(Y)"
+print("  denoise(4 Y) equals 4 denoise(Y) bit for bit\n")
 
 # The estimated noise variances track the speckle's signal-dependent power.
 mid = 60

@@ -245,7 +245,7 @@ def load_constants(path) -> BrownConstants:
     """Read a constants profile from a key-value file.
 
     Lines look like ``alpha = 2.022e6``; ``#`` starts a comment.  Exactly the
-    keys alpha, sigma_p, c, gate_resolution, num_gates are understood.
+    keys alpha, sigma_p, c, gate_resolution, num_gates are understood, once each.
     """
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -262,6 +262,8 @@ def load_constants(path) -> BrownConstants:
             key = key.strip()
             if key not in PROFILE_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             values[key] = val.strip()
     missing = [k for k in PROFILE_KEYS if k not in values]
     if missing:

@@ -9,17 +9,21 @@ posterior is minimised one coordinate block at a time; every update has a
 closed form.
 
 The sweep runs on the basis coefficients of only the r modes whose kernel
-eigenvalue is >= MODE_CUTOFF times the largest.  The cutoff is the kernel's
-jitter: the dropped modes sit at it, where the shrinkage filter is ~0, and
-the prior pins them to zero (exact MAP under that prior, so the cost never
-rises).  With V_r the kept M x r eigenvectors, C = Y V_r, C**2, p * C**2
-(p the kept precision eigenvalues) and the row energies |y_k|^2, which
-double as the finiteness check, are computed once per block.  The rows'
-modes have coefficients F * C (F the per-gate diagonal shrinkage), so each
-sweep gets both statistics from F and one weighted reduction: a gate's
-residual power sum((1 - F)**2 * C**2) plus the tail energy |y_k|^2 - |c_k|^2
-of its dropped modes, and its prior energy sum(F**2 * p * C**2).
-(F * C) V_r^T is formed once, into the output; no M x M basis is built.
+eigenvalue is >= MODE_CUTOFF times the largest, the kernel's jitter: the
+prior pins the dropped modes to zero (exact MAP under that prior, so the
+cost never rises).  With V_r the kept M x r eigenvectors, C = Y V_r, C**2,
+p * C**2 (p the kept precision eigenvalues) and the row energies |y_k|^2,
+which double as the finiteness check, are computed once per block.  With F
+the per-gate diagonal shrinkage, each sweep gets both statistics from one
+weighted reduction: a gate's residual power sum((1 - F)**2 * C**2) plus the
+tail energy |y_k|^2 - |c_k|^2 of its dropped modes, and its prior energy
+sum(F**2 * p * C**2).  (F * C) V_r^T is formed once, into the output.
+
+The chains run in units of g**2, g the power of two nearest the block's RMS,
+and start from these energies: a gate's energy variance at its mean square,
+its noise variance at its dropped modes' mean square (they hold only noise;
+the energy start when r = M).  denoise(a Y) = a denoise(Y), bit for bit for
+a power of two a.  The chains return in input units, the cost in g**2 units.
 
 Sweep order per iteration: rows s_k (all gates), then the variances and
 then the auxiliaries of the noise and energy chains, which share no node and
@@ -45,7 +49,6 @@ from .kernels import (
     shrinkage_filter,
 )
 
-ENERGY_VAR_INIT = 10.0
 MODE_CUTOFF = 1e-8  # kept modes: kernel eigenvalue >= MODE_CUTOFF * largest
 
 
@@ -74,7 +77,7 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Result of one denoise call."""
+    """Result of one denoise call: chains in input units, cost_trace in units of g**2."""
 
     denoised: np.ndarray
     noise: VarianceChain
@@ -94,13 +97,6 @@ def _cost(chain: VarianceChain, stats: np.ndarray, num_signals: int) -> float:
     if not np.isfinite(value):
         raise NonFiniteError("cost evaluation produced a non-finite value")
     return value
-
-
-def _initial_state(block: np.ndarray, config: SolverConfig) -> VarianceChain:
-    """The noise (row 0) and energy (row 1) chains, stacked as one 2 x K chain."""
-    start = np.full((2, block.shape[0]), ENERGY_VAR_INIT)
-    start[0] = block.mean(axis=1)
-    return gmrf.initial_chain(start, np.array([config.zeta, config.eta]))
 
 
 def _sweep(weighted, tail, kept, num_signals, chain):
@@ -147,12 +143,17 @@ def denoise(
             f"basis size {basis.size} does not match block width {num_signals}"
         )
 
-    chain = _initial_state(block, config)
+    unit = 4.0 ** (int(np.frexp(row_energy.sum() / block.size)[1]) // 2)  # g**2
     coeffs = block @ basis.vectors  # row k holds the kept coefficients of y_k
     weighted = np.empty((2,) + coeffs.shape)  # c**2 and p * c**2, for _sweep
     np.square(coeffs, out=weighted[0])
+    tail = np.maximum(row_energy - weighted[0].sum(axis=1), 0.0) / unit
+    weighted[0] /= unit
     np.multiply(weighted[0], basis.precision_eigvals, out=weighted[1])
-    tail = np.maximum(row_energy - weighted[0].sum(axis=1), 0.0)
+    row_energy /= num_signals * unit  # each gate's mean square
+    dropped = num_signals - basis.vectors.shape[1]  # noise: the dropped modes' mean square
+    chain = gmrf.initial_chain(np.array((tail / dropped if dropped else row_energy, row_energy)),
+                               np.array([config.zeta, config.eta]))
 
     trace: list[float] = []
     stop_reason = "max-iterations"
@@ -164,6 +165,8 @@ def denoise(
             break
 
     del weighted  # freed before the back-projection
+    for values in (chain.variances, chain.aux):  # to input units, positive near underflow
+        np.maximum(values * unit, np.finfo(float).tiny, out=values)
     filt *= coeffs
     return SolverState(
         np.matmul(filt, basis.vectors.T, out=out),
@@ -202,11 +205,8 @@ def denoise_stream(
         raise ShapeMismatchError(f"expected a non-empty K x N block, got {block.shape}")
     slices = chunk_slices(block.shape[1], chunk_len)
 
-    bases: dict[int, CovarianceBasis] = {}
-    for sl in slices:
-        width = sl.stop - sl.start
-        if width not in bases:
-            bases[width] = decompose(build_correlation(width, config.lengthscale), MODE_CUTOFF)
+    widths = {sl.stop - sl.start for sl in slices}
+    bases = {w: decompose(build_correlation(w, config.lengthscale), MODE_CUTOFF) for w in widths}
 
     out = np.empty_like(block)
     states = [denoise(block[:, sl], config, bases[sl.stop - sl.start], out[:, sl])

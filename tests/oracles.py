@@ -78,6 +78,32 @@ def dense_correlation(num_signals, lengthscale, jitter) -> np.ndarray:
     return values
 
 
+def unit(block) -> float:
+    """g**2, g the power of two nearest the block's RMS (1 for a zero block)."""
+    mean_square = np.mean(np.square(block))
+    return 4.0 ** round(np.log2(mean_square) / 2) if mean_square else 1.0
+
+
+def dense_start(block, lengthscale, jitter, cutoff):
+    """The denoiser's start, in units of ``unit(block)``, from a dense eigh.
+
+    Returns the stacked noise and energy starts: each gate's mean square in
+    the kernel's dropped modes (those below ``cutoff`` times the largest
+    eigenvalue; its energy start when none is dropped) and over all modes.
+    """
+    num_signals = block.shape[1]
+    eigvals, vectors = np.linalg.eigh(dense_correlation(num_signals, lengthscale, jitter))
+    kept = vectors[:, eigvals >= cutoff * eigvals.max()]
+    g2 = unit(block)
+    row_energy = (block**2).sum(axis=1) / g2
+    energy = row_energy / num_signals
+    dropped = num_signals - kept.shape[1]
+    if not dropped:
+        return np.stack([energy, energy])
+    tail = row_energy - ((block @ kept) ** 2).sum(axis=1) / g2
+    return np.stack([np.maximum(tail, 0.0) / dropped, energy])
+
+
 def naive_chain_cost(variances, aux, coupling, stats, num_signals) -> float:
     """One chain's cost terms by explicit per-gate loops."""
     K = len(variances)

@@ -141,29 +141,33 @@ class TestGenerate:
         assert err.startswith(f"error: {path}: line 3: ") and "Traceback" not in err
         assert not list(tmp_path.glob("*.blk"))
 
-    @pytest.mark.parametrize("key, value, message", [
-        ("alpha", "inf", "alpha, sigma_p and c must be positive and finite"),
-        ("sigma_p", "inf", "alpha, sigma_p and c must be positive and finite"),
-        ("c", "inf", "alpha, sigma_p and c must be positive and finite"),
-        ("alpha", "nan", "alpha, sigma_p and c must be positive and finite"),
-        ("gate_resolution", "inf", "need finite gate_resolution > 0"),
-        ("alpha", "abc", "could not convert string to float: 'abc'"),
-        ("num_gates", "104.0", "invalid literal for int()"),
+    @pytest.mark.parametrize("key, value, repeat, message", [
+        ("alpha", "inf", False, "alpha, sigma_p and c must be positive and finite"),
+        ("sigma_p", "inf", False, "alpha, sigma_p and c must be positive and finite"),
+        ("c", "inf", False, "alpha, sigma_p and c must be positive and finite"),
+        ("alpha", "nan", False, "alpha, sigma_p and c must be positive and finite"),
+        ("gate_resolution", "inf", False, "need finite gate_resolution > 0"),
+        ("alpha", "abc", False, "could not convert string to float: 'abc'"),
+        ("num_gates", "104.0", False, "invalid literal for int()"),
+        ("alpha", "1.0e9", True, "duplicate key 'alpha'"),
     ], ids=["alpha-inf", "sigma_p-inf", "c-inf", "alpha-nan", "gate_resolution-inf",
-            "alpha-abc", "num_gates-float"])
-    def test_bad_constants_profile_exits_two(self, tmp_path, capsys, key, value, message):
+            "alpha-abc", "num_gates-float", "alpha-repeated"])
+    def test_bad_constants_profile_exits_two(self, tmp_path, capsys, key, value, repeat,
+                                             message):
+        # the bad line ends a valid profile, in place of the key's line or after it
         consts = jason2_like()
         values = {k: getattr(consts, k) for k in ("alpha", "sigma_p", "c", "gate_resolution",
                                                    "num_gates")}
-        values[key] = value
+        lines = [f"{k} = {v}\n" for k, v in values.items() if repeat or k != key]
         path = tmp_path / "bad.cfg"
-        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        path.write_text("".join(lines) + f"{key} = {value}\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run("generate", "--n", 8, "--config", path, "--out-dir", tmp_path / "out")
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: ") and message in err and "Traceback" not in err
+        where = f"{path}:6" if repeat else path  # a repeat is named with its line
+        assert err.startswith(f"error: {where}: ") and message in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_trajectory_file_with_a_jump_exits_two(self, tmp_path, capsys):
