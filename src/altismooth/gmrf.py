@@ -19,6 +19,7 @@ denominator 2*coupling + M + 2; the head auxiliary's mode is
 
 Every function broadcasts over leading axes, so the solver runs its noise
 and energy chains, which share no node, as one stacked 2 x K chain.
+``initial_chain`` puts each auxiliary at its mode given the floored variances.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 VARIANCE_FLOOR = 1e-20
-AUX_INIT = 1e-12
 
 
 @dataclass
@@ -115,7 +115,6 @@ def chain_cost_terms(
 
 
 def initial_chain(variances: np.ndarray, coupling: float) -> VarianceChain:
-    """Build a chain with floored variances and every auxiliary at AUX_INIT."""
+    """Build a chain with floored variances and each auxiliary at its conditional mode."""
     v = np.maximum(np.asarray(variances, dtype=float), VARIANCE_FLOOR)
-    aux = np.full_like(v, AUX_INIT)
-    return VarianceChain(variances=v, aux=aux, coupling=coupling)
+    return VarianceChain(v, aux_sweep(VarianceChain(v, v, coupling)), coupling)

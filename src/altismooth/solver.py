@@ -22,8 +22,9 @@ sum(F**2 * p * C**2).  (F * C) V_r^T is formed once, into the output.
 The chains run in units of g**2, g the power of two nearest the block's RMS,
 and start from these energies: a gate's energy variance at its mean square,
 its noise variance at its dropped modes' mean square (they hold only noise;
-the energy start when r = M).  denoise(a Y) = a denoise(Y), bit for bit for
-a power of two a.  The chains return in input units, the cost in g**2 units.
+the energy start when r = M), and each auxiliary at its conditional mode
+given them.  denoise(a Y) = a denoise(Y), bit for bit for a power of two a.
+The chains return in input units, the cost in g**2 units.
 
 Sweep order per iteration: rows s_k (all gates), then the variances and
 then the auxiliaries of the noise and energy chains, which share no node and
@@ -143,7 +144,7 @@ def denoise(
             f"basis size {basis.size} does not match block width {num_signals}"
         )
 
-    unit = 4.0 ** (int(np.frexp(row_energy.sum() / block.size)[1]) // 2)  # g**2
+    unit = 4.0 ** (int(np.frexp((row_energy / block.size).sum())[1]) // 2)  # g**2
     coeffs = block @ basis.vectors  # row k holds the kept coefficients of y_k
     weighted = np.empty((2,) + coeffs.shape)  # c**2 and p * c**2, for _sweep
     np.square(coeffs, out=weighted[0])

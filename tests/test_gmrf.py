@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from altismooth.gmrf import (
+    VARIANCE_FLOOR,
     VarianceChain,
     aux_sweep,
     chain_cost_terms,
@@ -65,6 +66,19 @@ class TestArithmetic:
             want_aux = oracles.naive_aux_modes(chain.variances, chain.coupling)
             np.testing.assert_allclose(aux_sweep(chain), want_aux,
                                        rtol=1e-14, atol=0)
+
+    def test_initial_chain_starts_each_aux_at_its_mode(self):
+        # floored variances, stacked 2 x K with one coupling per chain
+        rng = np.random.default_rng(2)
+        for num_gates in (1, 2, 104):
+            v = rng.uniform(0.05, 20.0, (2, num_gates))
+            v[0, 0] = 0.0  # below the floor
+            chain = initial_chain(v, np.array([2.0, 3.5]))
+            floored = np.maximum(v, VARIANCE_FLOOR)
+            np.testing.assert_array_equal(chain.variances, floored)
+            for aux, member, c in zip(chain.aux, floored, (2.0, 3.5)):
+                np.testing.assert_allclose(aux, oracles.naive_aux_modes(member, c),
+                                           rtol=1e-14, atol=0)
 
     def test_stacked_chains_match_their_members(self):
         # one call on two stacked chains with different couplings equals a

@@ -18,9 +18,9 @@ from conftest import peak_bytes
 from oracles import cost_from_stats, prior_energy
 
 
-# 6.7 times the largest gap measured at a in {1e-6, 1e-3, 0.3, 3, 5, 1e3, 1e6}
-# over seeds 1-5, 7, 11, 17, 901 and 1207 (1.5e-8, seed 901 at a = 3)
-SCALE_GAP = 1e-7
+# 10 times the largest gap measured at a in {1e-6, 1e-3, 0.3, 3, 5, 1e3, 1e6}
+# over seeds 1-5, 7, 11, 17, 901 and 1207 (1.9e-10, seed 1 at a = 3)
+SCALE_GAP = 2e-9
 
 
 def brown_block(consts, num_signals, seed, looks=90.0):
@@ -95,21 +95,29 @@ class TestDenoise:
     def test_initialisation_follows_contract(self, consts, monkeypatch):
         # in units of g**2, noise starts at each gate's mean square in the
         # dropped modes and energy at its mean square; with no mode dropped,
-        # noise starts at the energy value
+        # noise starts at the energy value; each auxiliary starts at its
+        # conditional mode given the floored start
         _, noisy = brown_block(consts, 40, seed=9)
-        starts = []
-        initial_chain = gmrf.initial_chain
-        monkeypatch.setattr(gmrf, "initial_chain",
-                            lambda v, c: starts.append((v, c)) or initial_chain(v, c))
+        starts, aux_starts = [], []
+
+        def initial_chain(v, c, build=gmrf.initial_chain):
+            chain = build(v, c)
+            starts.append((v, c))
+            aux_starts.append(chain.aux.copy())  # as it was before the sweeps
+            return chain
+
+        monkeypatch.setattr(gmrf, "initial_chain", initial_chain)
         cutoffs = (solver.MODE_CUTOFF, 0.0)
         assert denoise(noisy).modes < 40
         monkeypatch.setattr(solver, "MODE_CUTOFF", 0.0)
         assert denoise(noisy).modes == 40
         config = SolverConfig()
-        for (start, coupling), cutoff in zip(starts, cutoffs, strict=True):
+        for (start, coupling), aux, cutoff in zip(starts, aux_starts, cutoffs, strict=True):
             want = oracles.dense_start(noisy, config.lengthscale, JITTER, cutoff)
             np.testing.assert_allclose(start, want, rtol=1e-8)
             assert np.array_equal(coupling, [config.zeta, config.eta])
+            for v, a, c in zip(np.maximum(start, VARIANCE_FLOOR), aux, coupling):
+                np.testing.assert_allclose(a, oracles.naive_aux_modes(v, c), rtol=1e-14)
         assert np.array_equal(starts[1][0][0], starts[1][0][1])
         assert 0.5 <= np.mean(noisy**2) / oracles.unit(noisy) < 2.0
 
@@ -175,13 +183,14 @@ class TestDenoise:
         corr = np.exp(-((idx[:, None] - idx[None, :]) / config.lengthscale) ** 2)
         corr[np.diag_indices(M)] += JITTER
 
-        # the solver's start, and its units: g**2, g the power of two nearest the RMS
+        # the solver's start, each auxiliary at its conditional mode, and its
+        # units: g**2, g the power of two nearest the RMS
         nv, ev = np.maximum(oracles.dense_start(noisy, config.lengthscale, JITTER, cutoff),
                             VARIANCE_FLOOR)
         g = np.sqrt(oracles.unit(noisy))
         y = noisy / g
-        na = np.full(K, 1e-12)
-        ea = np.full(K, 1e-12)
+        na = oracles.naive_aux_modes(nv, config.zeta)
+        ea = oracles.naive_aux_modes(ev, config.eta)
         dense = None
         for _ in range(config.t_max):
             dense = np.empty_like(y)
@@ -231,12 +240,12 @@ class TestDenoise:
         np.testing.assert_allclose(quads, prior_energy(state.denoised @ basis.vectors, basis),
                                    rtol=1e-10)
 
-    @pytest.mark.parametrize("scale", [2.0**-20, 4.0, 2.0**20, 1e-6, 3.0, 5.0, 1e6])
+    @pytest.mark.parametrize("scale", [2.0**-20, 4.0, 2.0**20, 2.0**500, 1e-6, 3.0, 5.0, 1e6])
     def test_scaled_input_scales_the_output(self, consts, scale):
         # denoise(a Y) = a denoise(Y) in the same sweeps: bit for bit when a is
-        # a power of two; else the chains see powers up to 4 times apart in
-        # their units of g**2, and the absolute AUX_INIT steers the leading-edge
-        # gates, whose mean square sits far below it, a little differently
+        # a power of two, up to 2**500, where the row energies come within a
+        # factor 1.2 of overflow and their sum overflows; else the chains see
+        # powers up to 4 times apart in their units of g**2, which round apart
         for seed in (7, 901):
             _, noisy = brown_block(consts, 1000, seed=seed)
             want, states = denoise_stream(noisy, 500, with_states=True)
@@ -249,6 +258,14 @@ class TestDenoise:
                     assert np.array_equal(a.energy.aux, scale**2 * b.energy.aux)
             else:
                 assert np.abs(got / scale - want).max() <= SCALE_GAP * np.abs(want).max()
+
+    def test_chunks_converge_in_few_sweeps(self, consts):
+        # the chains start at their data and each auxiliary at its mode;
+        # measured: 3 sweeps per 500-wide chunk
+        for seed in (7, 901):
+            _, noisy = brown_block(consts, 1000, seed=seed)
+            _, states = denoise_stream(noisy, 500, with_states=True)
+            assert all(s.stop_reason == "converged" and s.iterations <= 4 for s in states)
 
     def test_block_near_underflow_keeps_a_positive_state(self, consts):
         # at 1e-160 the squares are subnormal, and the chains' values times
