@@ -14,7 +14,6 @@ from altismooth import (
     brown_waveform,
     gates_to_meters,
     jason2_like,
-    sigma_c_sq,
 )
 
 consts = jason2_like()
@@ -32,11 +31,12 @@ print(f"  half-power point near gate {edge_gate} (the epoch gate is 31)")
 print(f"  trailing-edge decay over the window: "
       f"{wave[-1] / wave.max():.2f} of peak\n")
 
-# Wave height widens the leading edge through the composite rise time.
+# Wave height widens the leading edge through the composite rise time
+# sqrt((swh / 2c)^2 + sigma_p^2).
 print("leading-edge width vs significant wave height:")
 for swh in (0.5, 2.0, 4.0, 8.0):
     p = BrownParams(swh=swh, tau=ref.tau, pu=ref.pu)
-    rise_gates = np.sqrt(sigma_c_sq(p, consts)) / consts.gate_resolution
+    rise_gates = np.hypot(swh / (2.0 * consts.c), consts.sigma_p) / consts.gate_resolution
     w = brown_waveform(p, consts)
     lo = int(np.searchsorted(w[:60], 0.1 * ref.pu))
     hi = int(np.searchsorted(w[:60], 0.9 * ref.pu))

@@ -22,7 +22,6 @@ from .brown import (
     gates_to_meters,
     jason2_like,
     load_constants,
-    sigma_c_sq,
     waveform_block,
 )
 from .errors import (
@@ -73,7 +72,6 @@ __all__ = [
     "make_trajectory",
     "rmse",
     "rsnr",
-    "sigma_c_sq",
     "std",
     "std_20hz",
     "svd_filter",

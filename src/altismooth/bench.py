@@ -9,7 +9,11 @@ Three experiments, all fully seeded and denoised with the default
   waveforms under fresh speckle; reports RSNR of the SVD baseline and of
   the coordinate-descent denoiser.
 * fig4: same blocks as table2, retracked per signal after each of: no
-  filtering, SVD filtering, denoising; reports parameter RMSEs.
+  filtering (ls), SVD filtering (svd), denoising (sse); reports parameter
+  RMSEs, swh then tau then pu, each for ls, svd and sse.
+
+table2 and fig4 draw their blocks from one generator, ``_sweep``.  Each
+suite's ``rows`` are its report, their keys its columns in order.
 """
 
 from __future__ import annotations
@@ -83,19 +87,16 @@ def run_table1(
     return {"input_rsnr_db": input_rsnr_db, "rows": rows}
 
 
-def _sweep_block(swh, runs, looks, seed, index, consts):
-    traj = make_trajectory(
-        "constant",
-        runs,
-        swh=float(swh),
-        tau=float(gates_to_meters(SWEEP_TAU_GATES, consts)),
-        pu=SWEEP_PU,
-    )
-    clean = clean_block(traj, consts)
-    noisy = corrupt(
-        clean, NoiseSpec(looks=looks, seed=derive_seed(seed, NOISE_STREAM, index))
-    )
-    return traj, clean, noisy
+def _sweep(swh_list, runs, looks, seed, consts, svd_threshold, chunk):
+    """Per SWH (its own speckle stream): trajectory, clean block, and the noisy
+    block as ls with its SVD-filtered (svd) and denoised (sse) versions."""
+    tau = float(gates_to_meters(SWEEP_TAU_GATES, consts))
+    for i, swh in enumerate(swh_list):
+        traj = make_trajectory("constant", runs, swh=float(swh), tau=tau, pu=SWEEP_PU)
+        clean = clean_block(traj, consts)
+        noisy = corrupt(clean, NoiseSpec(looks=looks, seed=derive_seed(seed, NOISE_STREAM, i)))
+        yield traj, clean, {"ls": noisy, "svd": svd_filter_stream(noisy, chunk, svd_threshold),
+                            "sse": denoise_stream(noisy, chunk)}
 
 
 def run_table2(
@@ -109,24 +110,10 @@ def run_table2(
 ) -> dict:
     consts = consts or jason2_like()
     rows = []
-    for i, swh in enumerate(swh_list):
-        _, clean, noisy = _sweep_block(swh, runs, looks, seed, i, consts)
-        filtered = svd_filter_stream(noisy, chunk, svd_threshold)
-        denoised = denoise_stream(noisy, chunk)
-        rows.append(
-            {
-                "swh": float(swh),
-                "rsnr_svd": rsnr(clean, filtered),
-                "rsnr_sse": rsnr(clean, denoised),
-            }
-        )
+    for traj, clean, versions in _sweep(swh_list, runs, looks, seed, consts, svd_threshold, chunk):
+        rows.append({"swh": float(traj.swh[0]), "rsnr_svd": rsnr(clean, versions["svd"]),
+                     "rsnr_sse": rsnr(clean, versions["sse"])})
     return {"rows": rows}
-
-
-def _fit_series(block, consts) -> np.ndarray:
-    """3 x N fitted (swh, tau, pu) rows, one column per signal."""
-    p = fit_block(block, consts).params
-    return np.array([p.swh, p.tau, p.pu])
 
 
 def run_fig4(
@@ -140,21 +127,11 @@ def run_fig4(
 ) -> dict:
     consts = consts or jason2_like()
     rows = []
-    for i, swh in enumerate(swh_list):
-        traj, clean, noisy = _sweep_block(swh, runs, looks, seed, i, consts)
-        truth = (traj.swh, traj.tau, traj.pu)
-        versions = {
-            "ls": noisy,
-            "svd": svd_filter_stream(noisy, chunk, svd_threshold),
-            "sse": denoise_stream(noisy, chunk),
-        }
-        row = {"swh": float(swh)}
-        for label, block in versions.items():
-            for name, fitted, true in zip(PARAM_NAMES, _fit_series(block, consts), truth):
-                row[f"rmse_{name}_{label}"] = rmse(fitted, true)
+    for traj, _, versions in _sweep(swh_list, runs, looks, seed, consts, svd_threshold, chunk):
+        fitted = {label: fit_block(block, consts).params for label, block in versions.items()}
+        row = {"swh": float(traj.swh[0])}
+        for name in PARAM_NAMES:
+            for label, params in fitted.items():
+                row[f"rmse_{name}_{label}"] = rmse(getattr(params, name), getattr(traj, name))
         rows.append(row)
     return {"rows": rows}
-
-
-FIG4_FIELDS = ["swh"] + [f"rmse_{name}_{label}" for name in PARAM_NAMES
-                          for label in ("ls", "svd", "sse")]

@@ -96,11 +96,6 @@ def gates_to_meters(gates, consts: BrownConstants):
     return np.asarray(gates, dtype=float) * consts.gate_in_meters
 
 
-def sigma_c_sq(params: BrownParams, consts: BrownConstants) -> float:
-    """Squared leading-edge width (SWH/(2c))^2 + sigma_p^2, in seconds^2."""
-    return (params.swh / (2.0 * consts.c)) ** 2 + consts.sigma_p**2
-
-
 def _stable_terms(u, v, out=None):
     """Return (1+erf(u))*exp(v) without overflow, in ``out`` if given.
 

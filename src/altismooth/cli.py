@@ -6,8 +6,8 @@ run's JSON manifest next to them, recording the resolved arguments and
 seeds, so any output can be reproduced byte-for-byte by re-running the
 recorded argv.  Only a run that exits 0 writes a manifest.
 
-Exit codes: 0 ok, 2 bad arguments or mismatched inputs, 3 numerical
-failure, 4 I/O failure.
+Exit codes: 0 ok, 2 bad input (any ``ValueError``), 3 numerical failure
+(any other ``AltismoothError``), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bench, blockio, metrics
 from .brown import BrownConstants, gates_to_meters, jason2_like, load_constants
-from .errors import AltismoothError, BadRangeError, NonFiniteError, ShapeMismatchError
+from .errors import AltismoothError, BadRangeError, NonFiniteError
 from .kernels import DEFAULT_LENGTHSCALE
 from .retrack import fit_block, svd_filter_stream
 from .simulate import NOISE_MODES, NoiseSpec, clean_block, corrupt, make_trajectory
@@ -113,9 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="retrack each signal of a block")
     est.add_argument("--input", type=Path, required=True)
     est.add_argument("--output", type=Path, required=True)
-    est.add_argument("--method", choices=("ls", "svd-ls", "sse-ls"), default="ls")
+    est.add_argument("--method", choices=("ls", "svd-ls"), default="ls")
     est.add_argument("--svd-threshold", type=float, help="svd-ls only (default 0.84)")
-    est.add_argument("--chunk", type=int, help="svd-ls and sse-ls only (default 500)")
+    est.add_argument("--chunk", type=int, help="svd-ls only (default 500)")
 
     met = sub.add_parser("metrics",
                          help="evaluate RSNR and parameter error statistics")
@@ -258,14 +258,12 @@ def cmd_denoise(args) -> Run:
 
 
 def cmd_estimate(args) -> Run:
-    _options_read_by(args, "method", chunk=(("svd-ls", "sse-ls"), bench.DEFAULT_CHUNK),
+    _options_read_by(args, "method", chunk=(("svd-ls",), bench.DEFAULT_CHUNK),
                      svd_threshold=(("svd-ls",), bench.DEFAULT_SVD_THRESHOLD))
     consts = _constants(args)
     block = _read_finite_block(args.input)
     if args.method == "svd-ls":
         block = svd_filter_stream(block, args.chunk, args.svd_threshold)
-    elif args.method == "sse-ls":
-        block = denoise_stream(block, args.chunk)
     fits, n = fit_block(block, consts), block.shape[1]
     p = fits.params
     fields = ["index", "swh_m", "tau_m", "pu", "residual", "converged"]
@@ -295,7 +293,8 @@ def cmd_metrics(args) -> Run:
             if truth is not None:
                 rows.append({"metric": "rmse", "param": name,
                              "value": metrics.rmse(est, truth[p])})
-            rows.append({"metric": "std", "param": name, "value": metrics.std(est)})
+            if est.size >= 2:
+                rows.append({"metric": "std", "param": name, "value": metrics.std(est)})
             if est.size >= metrics.WINDOW_20HZ:
                 rows.append({"metric": "std_20hz", "param": name,
                              "value": metrics.std_20hz(est)})
@@ -326,18 +325,17 @@ def cmd_bench(args) -> Run:
         if not m_list:
             raise BadRangeError(f"no chunk length in {args.m_list} fits n={args.n}")
         result = bench.run_table1(args.n, m_list, args.looks, args.seed, consts)
-        fields = ["filter_length", "rsnr_db", "ms_per_signal"]
         summary.append(f"input RSNR: {result['input_rsnr_db']:.2f} dB")
     else:
-        if args.suite == "table2":
-            suite, fields = bench.run_table2, ["swh", "rsnr_svd", "rsnr_sse"]
-        else:
-            suite, fields = bench.run_fig4, bench.FIG4_FIELDS
+        if not args.swh_list:
+            raise BadRangeError("--swh-list is empty")
+        suite = bench.run_table2 if args.suite == "table2" else bench.run_fig4
         result = suite(args.swh_list, args.runs, args.looks, args.seed, consts,
                        args.svd_threshold, args.chunk)
 
     args.out.mkdir(parents=True, exist_ok=True)  # not before: a rejected run leaves none
     report = args.out / f"{args.suite}.csv"
+    fields = list(result["rows"][0])  # each suite's columns, in its rows' key order
     blockio.write_report_csv(report, fields, result["rows"])
     for row in result["rows"]:
         summary.append(",".join(f"{row[f]:.4g}" if isinstance(row[f], float) else str(row[f])
@@ -369,7 +367,7 @@ def main(argv=None) -> int:
             {name: str(path) for name, path in run.outputs.items()}, started,
             seeds=run.seeds,
         )
-    except (BadRangeError, ShapeMismatchError, ValueError) as exc:
+    except ValueError as exc:  # bad input; BadRangeError and ShapeMismatchError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
     except AltismoothError as exc:

@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
-Numerical failures (overflow, indefinite matrices, diverging fits) are kept
-distinct from bad-input errors so the CLI can map them to exit codes.
+Bad input and numerical failure are kept apart so the CLI can map them to
+exit codes.  Bad input is a ``ValueError`` (exit 2): ``BadRangeError`` and
+``ShapeMismatchError`` derive from it as well as from ``AltismoothError``.
+Every other ``AltismoothError`` is a numerical failure (exit 3): overflow,
+indefinite matrices, zero-energy blocks, diverging fits.
 """
 
 
@@ -13,7 +16,7 @@ class NonFiniteError(AltismoothError):
     """A computation produced NaN or infinity (pathological inputs)."""
 
 
-class ShapeMismatchError(AltismoothError):
+class ShapeMismatchError(AltismoothError, ValueError):
     """Two blocks or series that must agree in shape do not."""
 
 
@@ -25,7 +28,7 @@ class NotPositiveDefiniteError(AltismoothError):
     """Correlation matrix failed its positive-definiteness check."""
 
 
-class BadRangeError(AltismoothError):
+class BadRangeError(AltismoothError, ValueError):
     """Requested parameter ranges violate physical invariants."""
 
 

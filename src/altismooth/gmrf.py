@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteError
+
 VARIANCE_FLOOR = 1e-20
 
 
@@ -102,16 +104,20 @@ def chain_cost_terms(
     Sum over gates of shape_i*log(variances[i]) + beta_i/(2*variances[i])
     minus (2*coupling-1) * sum(log(aux)), with shape_i = 2*coupling + M/2 + 1
     and the boundary gate carrying the reduced shape coupling + M/2 + 1.
+    Raises NonFiniteError on a non-positive state or a non-finite cost.
     """
     two_c = 2.0 * np.asarray(chain.coupling, dtype=float)[..., None]
     v, aux = chain.variances, chain.aux
     if not (v.min() > 0 and aux.min() > 0):
-        raise ValueError("cost requires strictly positive variances and aux")
+        raise NonFiniteError("cost requires strictly positive variances and aux")
     log_v = np.log(v)
     terms = (two_c + (num_signals / 2.0 + 1.0)) * log_v
     terms += (stats + two_c * _neighbor_aux(aux)) / (2.0 * v)
     terms[..., -1:] -= 0.5 * two_c * log_v[..., -1:]
-    return float(terms.sum() - ((two_c - 1.0) * np.log(aux)).sum())
+    value = float(terms.sum() - ((two_c - 1.0) * np.log(aux)).sum())
+    if not np.isfinite(value):
+        raise NonFiniteError("cost evaluation produced a non-finite value")
+    return value
 
 
 def initial_chain(variances: np.ndarray, coupling: float) -> VarianceChain:

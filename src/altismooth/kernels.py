@@ -56,7 +56,8 @@ def build_correlation(num_signals: int, lengthscale: float = DEFAULT_LENGTHSCALE
         raise ValueError("num_signals must be >= 1")
     if not 0 < lengthscale < np.inf:
         raise ValueError("need a finite lengthscale > 0")
-    row = np.exp(-((np.arange(num_signals, dtype=float) / lengthscale) ** 2))
+    with np.errstate(over="ignore"):  # lengthscale below ~1e-154: inf squares, exp(-inf) = 0
+        row = np.exp(-((np.arange(num_signals, dtype=float) / lengthscale) ** 2))
     row[0] += JITTER
     return row
 

@@ -160,8 +160,8 @@ def _lm_fit(y, consts, starts):
         trial_cost = _rowdot(trial_resid, trial_resid)
         better = trial_cost <= cost[tried]
         won = tried[better]
-        theta[won], resid[won] = trial[better], trial_resid[better]
-        normal[won], grad[won] = _normal_equations(trial_jac[better], resid[won])
+        theta[won] = trial[better]
+        normal[won], grad[won] = _normal_equations(trial_jac[better], trial_resid[better])
         del wave, trial_jac
         cost[won] = trial_cost[better]
         lam[won] = np.maximum(lam[won] / LAMBDA_SHRINK, 1e-12)

@@ -89,15 +89,9 @@ class SolverState:
     modes: int = 0  # eigenmodes kept, r
 
 
-def _cost(chain: VarianceChain, stats: np.ndarray, num_signals: int) -> float:
-    """Negative log posterior (constants dropped) of a chain, stacked or not."""
-    try:
-        value = gmrf.chain_cost_terms(chain, stats, num_signals)
-    except ValueError as exc:
-        raise NonFiniteError(str(exc)) from exc
-    if not np.isfinite(value):
-        raise NonFiniteError("cost evaluation produced a non-finite value")
-    return value
+def _kept_basis(width: int, lengthscale: float) -> CovarianceBasis:
+    """The kept modes of the width x width correlation: eigenvalue >= MODE_CUTOFF * largest."""
+    return decompose(build_correlation(width, lengthscale), MODE_CUTOFF)
 
 
 def _sweep(weighted, tail, kept, num_signals, chain):
@@ -115,7 +109,7 @@ def _sweep(weighted, tail, kept, num_signals, chain):
     stats[0] += tail
     chain.variances = gmrf.variance_sweep(chain, stats, num_signals)
     chain.aux = gmrf.aux_sweep(chain)
-    return filt, _cost(chain, stats, num_signals)
+    return filt, gmrf.chain_cost_terms(chain, stats, num_signals)
 
 
 def denoise(
@@ -138,7 +132,7 @@ def denoise(
         raise NonFiniteError("input block has non-finite values or row energies")
     num_signals = block.shape[1]
     if basis is None:
-        basis = decompose(build_correlation(num_signals, config.lengthscale), MODE_CUTOFF)
+        basis = _kept_basis(num_signals, config.lengthscale)
     elif basis.size != num_signals:
         raise ShapeMismatchError(
             f"basis size {basis.size} does not match block width {num_signals}"
@@ -207,7 +201,7 @@ def denoise_stream(
     slices = chunk_slices(block.shape[1], chunk_len)
 
     widths = {sl.stop - sl.start for sl in slices}
-    bases = {w: decompose(build_correlation(w, config.lengthscale), MODE_CUTOFF) for w in widths}
+    bases = {w: _kept_basis(w, config.lengthscale) for w in widths}
 
     out = np.empty_like(block)
     states = [denoise(block[:, sl], config, bases[sl.stop - sl.start], out[:, sl])

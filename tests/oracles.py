@@ -14,7 +14,7 @@ from scipy.special import erf, erfcx
 from altismooth import retrack
 from altismooth.brown import BrownParams, brown_jacobian, brown_waveform
 from altismooth.errors import DivergedError
-from altismooth.solver import _cost
+from altismooth.gmrf import chain_cost_terms
 
 
 def mp_sigma_c_sq(swh, sigma_p, c, dps: int = 50):
@@ -166,7 +166,8 @@ def prior_energy(coeffs, basis) -> np.ndarray:
 def cost_from_stats(resid, quads, noise, energy, num_signals) -> float:
     """The solver's cost of separate noise and energy chains, as a
     SolverState holds them, from per-gate statistics."""
-    return _cost(noise, resid, num_signals) + _cost(energy, quads, num_signals)
+    return (chain_cost_terms(noise, resid, num_signals)
+            + chain_cost_terms(energy, quads, num_signals))
 
 
 def cost(state, block, basis) -> float:
@@ -174,7 +175,7 @@ def cost(state, block, basis) -> float:
 
     The statistics come from the dense residual and the full basis; the
     terms, and their rejection of a non-positive state, are the solver's own
-    ``_cost``.
+    ``gmrf.chain_cost_terms``.
     """
     block = np.asarray(block, dtype=float)
     resid = ((block - state.denoised) ** 2).sum(axis=1)

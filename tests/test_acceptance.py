@@ -97,7 +97,10 @@ def test_criterion_2_rsnr_vs_swh_band(constants):
                             seed=SEED, consts=constants)
     print(f"[INFO] criterion 2: SSE RSNR at SWH=2 with 500-signal blocks: "
           f"{full['rows'][0]['rsnr_sse']:.2f} dB (band 32.15 +/- 1.5)")
-    _, _, noisy = bench._sweep_block(2.0, 100, 90.0, SEED, 1, constants)
+    # the SWH = 2 m block of the sweep above, second in its list
+    *_, (_, _, versions) = bench._sweep((0.5, 2.0), 100, 90.0, SEED, constants,
+                                        bench.DEFAULT_SVD_THRESHOLD, bench.DEFAULT_CHUNK)
+    noisy = versions["ls"]
     sing = np.linalg.svd(noisy, compute_uv=False)
     from altismooth.retrack import truncation_rank
     kept = truncation_rank(sing, 0.84)
@@ -141,9 +144,9 @@ def test_criterion_3_retracking_orderings(constants):
     # signals carries the shrinkage bias of the zero-mean smoothness prior
     # (about 1/looks of the dominant mode), which exceeds the 1.2 target even
     # at the full-scale 500-signal block size
-    _, _, noisy500 = bench._sweep_block(2.0, 500, 90.0, SEED, 1, constants)
-    den500 = denoise_stream(noisy500, 500)
-    pu500 = fit_block(den500, constants).params.pu
+    *_, (_, _, versions) = bench._sweep((0.5, 2.0), 500, 90.0, SEED, constants,
+                                        bench.DEFAULT_SVD_THRESHOLD, 500)
+    pu500 = fit_block(versions["sse"], constants).params.pu
     print(f"[INFO] criterion 3: denoiser-LS RMSE(pu) at 500-signal scale: "
           f"{rmse(pu500, np.full(500, 130.0)):.3f} (target 1.2)")
     c.conclude()

@@ -13,7 +13,6 @@ from altismooth import (
     brown_waveform,
     gates_to_meters,
     load_constants,
-    sigma_c_sq,
     waveform_block,
 )
 from altismooth.brown import _edge_terms, _model_and_jacobian
@@ -25,29 +24,30 @@ def params_at(consts, swh=2.0, tau_gates=31.0, pu=130.0):
     return BrownParams(swh=swh, tau=float(gates_to_meters(tau_gates, consts)), pu=pu)
 
 
+def sigma_c_sq(swh, consts):
+    """The squared leading-edge width sc2 that the model evaluates, from ``_edge_terms``."""
+    return _edge_terms(swh, 10.0, consts.gate_times(), consts)[1]
+
+
 class TestSigmaC:
     def test_zero_wave_height_limit(self, consts):
-        p = BrownParams(swh=0.0, tau=10.0, pu=1.0)
-        assert sigma_c_sq(p, consts) == pytest.approx(consts.sigma_p**2, rel=0, abs=0)
+        assert sigma_c_sq(0.0, consts) == pytest.approx(consts.sigma_p**2, rel=0, abs=0)
 
     def test_equal_contribution_symmetry(self, consts):
         swh = 2.0 * consts.c * consts.sigma_p
-        p = BrownParams(swh=swh, tau=10.0, pu=1.0)
-        assert sigma_c_sq(p, consts) == pytest.approx(2.0 * consts.sigma_p**2, rel=1e-15)
+        assert sigma_c_sq(swh, consts) == pytest.approx(2.0 * consts.sigma_p**2, rel=1e-15)
 
     def test_against_extended_precision_oracle(self, consts):
         # frozen from oracles.mp_sigma_c_sq(2, 1.6031e-9, c) at 50 digits
         frozen = 1.3696430170536184e-17
-        p = BrownParams(swh=2.0, tau=10.0, pu=1.0)
-        got = sigma_c_sq(p, consts)
+        got = sigma_c_sq(2.0, consts)
         assert got == pytest.approx(frozen, rel=1e-15)
         live = float(oracles.mp_sigma_c_sq(2.0, consts.sigma_p, consts.c))
         assert got == pytest.approx(live, rel=1e-15)
 
     def test_never_below_sigma_p_sq(self, consts):
         for swh in (0.0, 0.3, 2.0, 8.0):
-            p = BrownParams(swh=swh, tau=10.0, pu=1.0)
-            assert sigma_c_sq(p, consts) >= consts.sigma_p**2
+            assert sigma_c_sq(swh, consts) >= consts.sigma_p**2
 
 
 class TestWaveform:
@@ -60,7 +60,7 @@ class TestWaveform:
         # value is (pu/2) * exp(-alpha^2 sigma_c^2 / 2); checked on the
         # continuous-time model via a one-gate constants hack
         p = params_at(consts)
-        sc2 = sigma_c_sq(p, consts)
+        sc2 = sigma_c_sq(p.swh, consts)
         t_star = 2.0 * p.tau / consts.c + consts.alpha * sc2
         tweaked = BrownConstants(
             alpha=consts.alpha, sigma_p=consts.sigma_p, c=consts.c,

@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import re
+import shlex
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -230,8 +232,7 @@ class TestDenoiseEstimateMetrics:
 
     def test_estimate_methods(self, generated):
         # each method gets only the options it reads; the manifest records the others as null
-        for method, chunk, threshold in (("ls", None, None), ("svd-ls", 60, 0.84),
-                                         ("sse-ls", 60, None)):
+        for method, chunk, threshold in (("ls", None, None), ("svd-ls", 60, 0.84)):
             out = generated / f"est_{method}.csv"
             flags = () if chunk is None else ("--chunk", chunk)
             code = run("estimate", "--input", generated / "noisy.blk",
@@ -276,6 +277,18 @@ class TestDenoiseEstimateMetrics:
                     for r in csv.DictReader(fh)}
         assert ("rmse", "swh") in rows and ("std_20hz", "pu") in rows
         assert rows[("rmse", "tau")] < 0.5
+
+    def test_metrics_of_one_signal(self, tmp_path):
+        # rsnr and rmse are defined on one signal; std needs two, std_20hz twenty
+        d = tmp_path
+        assert run("generate", "--n", 1, "--seed", 3, "--out-dir", d) == 0
+        assert run("estimate", "--input", d / "noisy.blk", "--output", d / "est.csv") == 0
+        assert run("metrics", "--clean", d / "clean.blk", "--est", d / "noisy.blk",
+                   "--series", d / "est.csv", "--truth", d / "trajectory.csv",
+                   "--output", d / "m.csv") == 0
+        with open(d / "m.csv") as fh:
+            rows = [(r["metric"], r["param"]) for r in csv.DictReader(fh)]
+        assert rows == [("rsnr_db", "block"), ("rmse", "swh"), ("rmse", "tau"), ("rmse", "pu")]
 
     @pytest.mark.parametrize("bad_flag, text, message", [
         ("--series", "index,swh_m,tau_m\n0,2.0,14.5\n", "missing columns"),
@@ -389,7 +402,7 @@ class TestDenoiseEstimateMetrics:
         code = run("denoise", "--input", path, "--output", tmp_path / "out.blk")
         assert code == 3
 
-    @pytest.mark.parametrize("method", ["ls", "svd-ls", "sse-ls"])
+    @pytest.mark.parametrize("method", ["ls", "svd-ls"])
     def test_estimate_non_finite_block_exits_three(self, tmp_path, capsys, method):
         poisoned = np.ones((104, 8))
         poisoned[50, 3] = np.nan
@@ -519,8 +532,6 @@ class TestManifestContract:
           "--output", "{d}/e.csv"], 2),
         (["estimate", "--input", "{d}/nan.blk", "--method", "ls", "--svd-threshold", 0.1,
           "--output", "{d}/e.csv"], 2),
-        (["estimate", "--input", "{d}/nan.blk", "--method", "sse-ls", "--svd-threshold", 0.1,
-          "--output", "{d}/e.csv"], 2),
         *[(["bench", "--suite", "table1", "--n", 10, "--m-list", 5, flag, value,
             "--out", "{d}/out"], 2)
           for flag, value in (("--runs", 9), ("--swh-list", 3), ("--chunk", 3),
@@ -528,12 +539,15 @@ class TestManifestContract:
         *[(["bench", "--suite", suite, "--runs", 2, "--swh-list", 2, flag, value,
             "--out", "{d}/out"], 2)
           for suite in ("table2", "fig4") for flag, value in (("--n", 10), ("--m-list", 5))],
+        *[(["bench", "--suite", suite, "--runs", 2, "--swh-list=", "--out", "{d}/out"], 2)
+          for suite in ("table2", "fig4")],
         *[(["generate", "--n", 8, *flags, "--out-dir", "{d}/out"], 2) for flags in _UNREAD_BY_MODE],
     ], ids=["bad-range", "non-finite-block", "zero-energy", "missing-input",
             "negative-chunk", "chunk-beyond-track", "truth-without-series",
-            "ls-chunk", "ls-svd-threshold", "sse-ls-svd-threshold",
+            "ls-chunk", "ls-svd-threshold",
             "table1-runs", "table1-swh-list", "table1-chunk", "table1-svd-threshold",
             "table2-n", "table2-m-list", "fig4-n", "fig4-m-list",
+            "table2-empty-swh-list", "fig4-empty-swh-list",
             *[" ".join(("generate",) + flags) for flags in _UNREAD_BY_MODE]])
     def test_failed_run_writes_no_manifest(self, tmp_path, capsys, argv, code):
         poisoned = np.ones((104, 8))
@@ -584,6 +598,17 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--n", "4", "--frobnicate"])
         assert exc.value.code == 2
+
+    def test_readme_commands_parse(self):
+        # a removed subcommand, choice or option must not linger in the documented commands
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```.*?\n(.*?)^```", readme, flags=re.S | re.M)
+        lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+        argvs = [shlex.split(line, comments=True)[1:] for line in lines
+                 if line.startswith("altismooth ")]
+        assert {argv[0] for argv in argvs} == set(cli._COMMANDS)
+        for argv in argvs:
+            build_parser().parse_args(argv)
 
 
 class TestPipelineMemory:

@@ -58,6 +58,10 @@ class TestBuildCorrelation:
             row = build_correlation(size, lengthscale=lengthscale)
             assert np.array_equal(scipy.linalg.toeplitz(row), dense_kernel(size, lengthscale))
 
+    def test_tiny_lengthscale_gives_the_jittered_identity_row(self):
+        # each lag's square overflows to inf, and exp(-inf) is exactly 0, without a warning
+        assert build_correlation(5, 1e-300).tolist() == [1.0 + JITTER, 0.0, 0.0, 0.0, 0.0]
+
     def test_zero_jitter_fails_at_scale(self):
         with pytest.raises(NotPositiveDefiniteError):
             decompose(oracles.dense_correlation(400, 30.0, 0.0)[0])
