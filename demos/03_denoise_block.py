@@ -47,7 +47,7 @@ print("  denoise(4 Y) equals 4 denoise(Y) bit for bit\n")
 
 # The estimated noise variances track the speckle's signal-dependent power.
 mid = 60
-sigma2 = state.noise.variances[mid]
+sigma2 = state.variances[0, mid]  # row 0: the noise chain
 expected = (clean[mid, :500] ** 2).mean() / 90.0
 print(f"estimated noise variance at gate {mid + 1}: {sigma2:8.2f} "
       f"(speckle theory says ~{expected:.2f})\n")

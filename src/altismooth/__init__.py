@@ -33,7 +33,6 @@ from .errors import (
     NotPositiveDefiniteError,
     ShapeMismatchError,
 )
-from .gmrf import VarianceChain
 from .kernels import CovarianceBasis, build_correlation, decompose
 from .metrics import rmse, rsnr, std, std_20hz
 from .retrack import FitResult, fit_block, ls_fit, svd_filter, svd_filter_stream
@@ -55,7 +54,6 @@ __all__ = [
     "ShapeMismatchError",
     "SolverConfig",
     "SolverState",
-    "VarianceChain",
     "brown_jacobian",
     "brown_waveform",
     "build_correlation",

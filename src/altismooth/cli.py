@@ -315,6 +315,8 @@ def cmd_bench(args) -> Run:
     consts = _constants(args)
     summary = []
     if args.suite == "table1":
+        if args.n < 1:
+            raise BadRangeError(f"--n must be >= 1, got {args.n}")
         if any(m < 1 for m in args.m_list):
             raise BadRangeError(f"chunk lengths must be >= 1, got {args.m_list}")
         m_list = [m for m in args.m_list if m <= args.n]

@@ -28,9 +28,10 @@ The chains return in input units, the cost in g**2 units.
 
 Sweep order per iteration: rows s_k (all gates), then the variances and
 then the auxiliaries of the noise and energy chains, which share no node and
-run stacked as one 2 x K chain (couplings zeta, eta), one ``gmrf`` call per
-update.  The cost is evaluated once per full sweep and the loop stops when
-its relative change falls below ``xi`` or after ``t_max`` sweeps.
+run stacked as two 2 x K arrays, ``variances`` and ``aux`` (row 0 noise,
+row 1 energy; couplings zeta, eta), one ``gmrf`` call per update.  The cost
+is evaluated once per full sweep and the loop stops when its relative change
+falls below ``xi`` or after ``t_max`` sweeps.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ import numpy as np
 
 from . import gmrf
 from .errors import NonFiniteError, ShapeMismatchError
-from .gmrf import VarianceChain
 from .kernels import (
     DEFAULT_LENGTHSCALE,
     CovarianceBasis,
@@ -81,8 +81,8 @@ class SolverState:
     """Result of one denoise call: chains in input units, cost_trace in units of g**2."""
 
     denoised: np.ndarray
-    noise: VarianceChain
-    energy: VarianceChain
+    variances: np.ndarray  # 2 x K: row 0 the noise chain's, row 1 the energy chain's
+    aux: np.ndarray  # 2 x K: their auxiliaries
     cost_trace: list[float] = field(default_factory=list)
     iterations: int = 0
     stop_reason: str = "max-iterations"
@@ -94,22 +94,22 @@ def _kept_basis(width: int, lengthscale: float) -> CovarianceBasis:
     return decompose(build_correlation(width, lengthscale), MODE_CUTOFF)
 
 
-def _sweep(weighted, tail, kept, num_signals, chain):
+def _sweep(weighted, tail, kept, variances, aux, coupling):
     """One full coordinate sweep on the kept modes' squared coefficients.
 
     ``weighted`` stacks each row's squared coefficients c**2 and p * c**2;
     ``tail`` is each row's energy in the dropped modes, all of it residual.
-    The chains count all ``num_signals`` = M signals, not the r kept modes.
-    Mutates the stacked chain; returns the sweep's filter and the cost.
+    The chains count all M = ``kept.size`` signals, not the r kept modes.
+    Returns the sweep's filter, the chains' new variances and aux, and the cost.
     """
-    filt = shrinkage_filter(chain.variances[0], chain.variances[1], kept)
+    filt = shrinkage_filter(variances[0], variances[1], kept)
     factors = np.concatenate((1.0 - filt, filt)).reshape(weighted.shape)
     factors *= factors
     stats = np.vecdot(factors, weighted)  # residual power, prior energy
     stats[0] += tail
-    chain.variances = gmrf.variance_sweep(chain, stats, num_signals)
-    chain.aux = gmrf.aux_sweep(chain)
-    return filt, gmrf.chain_cost_terms(chain, stats, num_signals)
+    variances = gmrf.variance_sweep(variances, aux, coupling, stats, kept.size)
+    aux = gmrf.aux_sweep(variances, coupling)
+    return filt, variances, aux, gmrf.chain_cost_terms(variances, aux, coupling, stats, kept.size)
 
 
 def denoise(
@@ -147,25 +147,26 @@ def denoise(
     np.multiply(weighted[0], basis.precision_eigvals, out=weighted[1])
     row_energy /= num_signals * unit  # each gate's mean square
     dropped = num_signals - basis.vectors.shape[1]  # noise: the dropped modes' mean square
-    chain = gmrf.initial_chain(np.array((tail / dropped if dropped else row_energy, row_energy)),
-                               np.array([config.zeta, config.eta]))
+    coupling = np.array([config.zeta, config.eta])
+    variances, aux = gmrf.initial_chain(
+        np.array((tail / dropped if dropped else row_energy, row_energy)), coupling)
 
     trace: list[float] = []
     stop_reason = "max-iterations"
     for _ in range(config.t_max):
-        filt, value = _sweep(weighted, tail, basis, num_signals, chain)
+        filt, variances, aux, value = _sweep(weighted, tail, basis, variances, aux, coupling)
         trace.append(value)
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= config.xi * abs(trace[-2]):
             stop_reason = "converged"
             break
 
     del weighted  # freed before the back-projection
-    for values in (chain.variances, chain.aux):  # to input units, positive near underflow
+    for values in (variances, aux):  # to input units, positive near underflow
         np.maximum(values * unit, np.finfo(float).tiny, out=values)
     filt *= coeffs
     return SolverState(
         np.matmul(filt, basis.vectors.T, out=out),
-        *chain,  # its noise and energy chains
+        variances, aux,
         cost_trace=trace,
         iterations=len(trace),
         stop_reason=stop_reason,
@@ -174,10 +175,17 @@ def denoise(
 
 
 def chunk_slices(total: int, chunk_len: int) -> list[slice]:
-    """Consecutive column slices of width chunk_len (last one may be shorter)."""
+    """Consecutive column slices of width chunk_len; the last one may be shorter.
+
+    A one-signal remainder joins the chunk before it, which is chunk_len + 1
+    wide: a chunk of one signal comes out at about half its input.
+    """
     if chunk_len < 1:
         raise ValueError("chunk length must be >= 1")
-    return [slice(s, min(s + chunk_len, total)) for s in range(0, total, chunk_len)]
+    starts = list(range(0, total, chunk_len))
+    if total % chunk_len == 1 and len(starts) > 1:
+        del starts[-1]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [total])]
 
 
 def denoise_stream(
@@ -189,10 +197,10 @@ def denoise_stream(
     """Denoise a K x N block in independent consecutive chunks of width M.
 
     Chunks run serially (BLAS owns the threading) and share the precomputed
-    kept M x r modes for their width; a shorter final chunk gets its own.  Each
-    chunk is back-projected straight into its slice of the returned track, which
-    its state's ``denoised`` views, so the stream holds its output, the kept
-    bases and one chunk's scratch.
+    kept M x r modes for their width; a final chunk of another width (shorter,
+    or M + 1 wide) gets its own.  Each chunk is back-projected straight into
+    its slice of the returned track, which its state's ``denoised`` views, so
+    the stream holds its output, the kept bases and one chunk's scratch.
     """
     config = config or SolverConfig()
     block = np.asarray(block, dtype=float)

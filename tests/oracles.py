@@ -163,15 +163,15 @@ def prior_energy(coeffs, basis) -> np.ndarray:
     return np.maximum((coeffs**2 * basis.precision_eigvals).sum(axis=1), 0.0)
 
 
-def cost_from_stats(resid, quads, noise, energy, num_signals) -> float:
-    """The solver's cost of separate noise and energy chains, as a
-    SolverState holds them, from per-gate statistics."""
-    return (chain_cost_terms(noise, resid, num_signals)
-            + chain_cost_terms(energy, quads, num_signals))
+def cost_from_stats(resid, quads, variances, aux, couplings, num_signals) -> float:
+    """The solver's cost of its noise and energy chains, stacked 2 x K as a
+    SolverState holds them, with couplings (zeta, eta), from per-gate statistics."""
+    return chain_cost_terms(variances, aux, np.asarray(couplings, dtype=float),
+                            np.stack((resid, quads)), num_signals)
 
 
-def cost(state, block, basis) -> float:
-    """The solver's cost of an arbitrary state against a block.
+def cost(state, block, basis, couplings) -> float:
+    """The solver's cost of an arbitrary state, with couplings (zeta, eta), against a block.
 
     The statistics come from the dense residual and the full basis; the
     terms, and their rejection of a non-positive state, are the solver's own
@@ -180,7 +180,7 @@ def cost(state, block, basis) -> float:
     block = np.asarray(block, dtype=float)
     resid = ((block - state.denoised) ** 2).sum(axis=1)
     quads = prior_energy(state.denoised @ basis.vectors, basis)
-    return cost_from_stats(resid, quads, state.noise, state.energy, block.shape[1])
+    return cost_from_stats(resid, quads, state.variances, state.aux, couplings, block.shape[1])
 
 
 def golden_section(fun, lo: float, hi: float, rel_tol: float = 1e-12,

@@ -12,7 +12,7 @@ import pytest
 
 import altismooth as alt
 from altismooth import bench
-from altismooth.gmrf import VarianceChain, aux_sweep, variance_sweep
+from altismooth.gmrf import aux_sweep, variance_sweep
 from altismooth.kernels import (DEFAULT_LENGTHSCALE, JITTER, build_correlation, decompose,
                                 shrinkage_filter)
 from altismooth.metrics import rmse, rsnr, std, std_20hz
@@ -190,26 +190,25 @@ def test_criterion_5_mode_updates_match_minimiser():
         K = int(rng.integers(2, 10))
         M = int(rng.integers(1, 501))
         coupling = float(rng.uniform(1.2, 6.0))
-        chain = VarianceChain(rng.uniform(0.05, 20.0, K),
-                              rng.uniform(0.05, 20.0, K), coupling)
+        variances = rng.uniform(0.05, 20.0, K)
+        aux = rng.uniform(0.05, 20.0, K)
         stats = rng.uniform(0.01, 80.0, K)
-        var_modes = variance_sweep(chain, stats, M)
-        aux_modes = aux_sweep(chain)
+        var_modes = variance_sweep(variances, aux, coupling, stats, M)
+        aux_modes = aux_sweep(variances, coupling)
         for k in (0, int(rng.integers(0, K)), K - 1):
             def var_restricted(x, k=k):
-                v = chain.variances.copy()
+                v = variances.copy()
                 v[k] = x
-                return oracles.naive_chain_cost(v, chain.aux, coupling, stats, M)
+                return oracles.naive_chain_cost(v, aux, coupling, stats, M)
 
             numeric = oracles.argmin_positive(var_restricted)
             closed = var_modes[k]
             worst = max(worst, abs(closed - numeric) / numeric)
 
             def aux_restricted(x, k=k):
-                a = chain.aux.copy()
+                a = aux.copy()
                 a[k] = x
-                return oracles.naive_chain_cost(chain.variances, a, coupling,
-                                                stats, M)
+                return oracles.naive_chain_cost(variances, a, coupling, stats, M)
 
             numeric = oracles.argmin_positive(aux_restricted)
             closed = aux_modes[k]

@@ -322,6 +322,8 @@ class TestDenoiseEstimateMetrics:
     @pytest.mark.parametrize("flag, value, message", [
         ("--zeta", "inf", "zeta and eta must be finite"),
         ("--eta", "inf", "zeta and eta must be finite"),
+        ("--zeta", "1", "zeta and eta must be finite and > 1"),
+        ("--eta", "0.5", "zeta and eta must be finite and > 1"),
         ("--lengthscale", "nan", "lengthscale > 0"),
         ("--lengthscale", "inf", "lengthscale > 0"),
         ("--xi", "inf", "xi > 0"),
@@ -437,6 +439,12 @@ class TestBench:
         assert manifest["args"]["n"] == 120
         assert manifest["args"]["input_rsnr_db"] == pytest.approx(19.55, abs=1.5)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_table1_names_an_n_below_one(self, tmp_path, capsys, n):
+        # rejected as itself, before any chunk length is dropped for not fitting
+        assert run("bench", "--suite", "table1", "--n", n, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: --n must be >= 1, got {n}\n"
+
     def test_fig4_mini(self, tmp_path):
         code = run("bench", "--suite", "fig4", "--out", tmp_path,
                    "--swh-list", "2", "--runs", 12, "--seed", 0)
@@ -524,6 +532,7 @@ class TestManifestContract:
         (["denoise", "--input", "{d}/absent.blk", "--output", "{d}/out.blk"], 4),
         (["bench", "--suite", "table1", "--n", 10, "--m-list=-5,5", "--out", "{d}/out"], 2),
         (["bench", "--suite", "table1", "--n", 10, "--m-list=20", "--out", "{d}/out"], 2),
+        (["bench", "--suite", "table1", "--n", 0, "--out", "{d}/out"], 2),
         (["metrics", "--clean", "{d}/nan.blk", "--est", "{d}/nan.blk",
           "--truth", "{d}/truth.csv", "--output", "{d}/m.csv"], 2),
         # options outside the modes that read them; the estimate input is
@@ -543,7 +552,7 @@ class TestManifestContract:
           for suite in ("table2", "fig4")],
         *[(["generate", "--n", 8, *flags, "--out-dir", "{d}/out"], 2) for flags in _UNREAD_BY_MODE],
     ], ids=["bad-range", "non-finite-block", "zero-energy", "missing-input",
-            "negative-chunk", "chunk-beyond-track", "truth-without-series",
+            "negative-chunk", "chunk-beyond-track", "table1-zero-n", "truth-without-series",
             "ls-chunk", "ls-svd-threshold",
             "table1-runs", "table1-swh-list", "table1-chunk", "table1-svd-threshold",
             "table2-n", "table2-m-list", "fig4-n", "fig4-m-list",
@@ -609,6 +618,14 @@ class TestParser:
         assert {argv[0] for argv in argvs} == set(cli._COMMANDS)
         for argv in argvs:
             build_parser().parse_args(argv)
+
+    def test_readme_python_runs(self, capsys):
+        # an API change must not leave the library quick start stale
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+        assert blocks
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), {})
 
 
 class TestPipelineMemory:
