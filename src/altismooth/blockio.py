@@ -18,6 +18,7 @@ import time
 
 import numpy as np
 
+from . import __version__
 from .errors import BadRangeError
 
 MAGIC = b"SSE1"
@@ -128,8 +129,6 @@ def _build_identifier() -> str:
 def write_manifest(path, subcommand: str, args: dict, outputs: dict,
                    started: float, seeds: dict | None = None) -> None:
     """Record everything needed to reproduce a run next to its outputs."""
-    from . import __version__
-
     payload = {
         "subcommand": subcommand,
         "args": args,

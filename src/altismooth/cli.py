@@ -189,27 +189,14 @@ def cmd_generate(args) -> Run:
     _options_read_by(args, "noise_mode", looks=(speckle, bench.DEFAULT_LOOKS),
                      noise_var=(("additive-gaussian",), None))
     consts = _constants(args)
-    if args.traj == "constant":
-        if args.tau_gates is not None:
-            tau_m = float(gates_to_meters(args.tau_gates, consts))
-        elif args.tau_m is not None:
-            tau_m = args.tau_m
-        else:
-            tau_m = float(gates_to_meters(bench.SWEEP_TAU_GATES, consts))
-        traj = make_trajectory("constant", args.n, swh=args.swh, tau=tau_m,
-                               pu=args.pu, consts=consts)
-    elif args.traj == "smooth-random":
-        traj = make_trajectory(
-            "smooth-random", args.n,
-            swh_range=args.swh_range, tau_range=args.tau_range,
-            pu_range=args.pu_range,
-            seed=bench.derive_seed(args.seed, bench.TRAJ_STREAM),
-            consts=consts,
-        )
-    else:
-        if args.traj_file is None:
-            raise BadRangeError("--traj file needs --traj-file")
-        traj = make_trajectory("file", args.n, path=args.traj_file, consts=consts)
+    if args.traj == "file" and args.traj_file is None:
+        raise BadRangeError("--traj file needs --traj-file")
+    tau_gates = bench.SWEEP_TAU_GATES if args.tau_gates is None else args.tau_gates
+    tau = args.tau_m if args.tau_m is not None else float(gates_to_meters(tau_gates, consts))
+    traj = make_trajectory(args.traj, args.n, swh=args.swh, tau=tau, pu=args.pu,
+                           swh_range=args.swh_range, tau_range=args.tau_range,
+                           pu_range=args.pu_range, path=args.traj_file,
+                           seed=bench.derive_seed(args.seed, bench.TRAJ_STREAM), consts=consts)
 
     clean = clean_block(traj, consts)
     read = {"looks": args.looks} if args.noise_mode in speckle else {"noise_var": args.noise_var}

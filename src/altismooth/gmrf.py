@@ -20,7 +20,9 @@ denominator 2*coupling + M + 2; the head auxiliary's mode is
 A chain is two plain (..., K) arrays, ``variances`` and ``aux``, with a
 coupling > 1, a scalar or one per stacked chain.  Every function broadcasts
 over leading axes, so the solver runs its noise and energy chains, which
-share no node, as two 2 x K arrays.
+share no node, as two 2 x K arrays.  A variance's neighbours are auxiliaries
+and an auxiliary's are variances, so ``variance_sweep(aux, coupling, stats,
+num_signals)`` reads no variance and ``aux_sweep(variances, coupling)`` no aux.
 ``initial_chain`` puts each auxiliary at its mode given the floored variances.
 """
 
@@ -40,8 +42,8 @@ def _neighbor_aux(aux: np.ndarray) -> np.ndarray:
     return out
 
 
-def variance_sweep(variances: np.ndarray, aux: np.ndarray, coupling: float | np.ndarray,
-                   stats: np.ndarray, num_signals: int) -> np.ndarray:
+def variance_sweep(aux: np.ndarray, coupling: float | np.ndarray, stats: np.ndarray,
+                   num_signals: int) -> np.ndarray:
     """Conditional modes of all variances given the auxiliaries and data statistics.
 
     Floored at VARIANCE_FLOOR so the chain stays strictly positive.

@@ -14,16 +14,22 @@ WINDOW_20HZ = 20  # samples per second of 20 Hz waveforms
 
 
 def rsnr(clean: np.ndarray, estimate: np.ndarray) -> float:
-    """10*log10 of clean energy over residual energy; +inf on zero residual."""
+    """10*log10 of clean energy over residual energy; +inf on zero residual.
+
+    Both energies are summed in units of g**2, g the power of two just above
+    max|clean|: exact, so neither overflows and the ratio is free of the amplitude unit.
+    """
     clean = np.asarray(clean, dtype=float)
     estimate = np.asarray(estimate, dtype=float)
     if clean.shape != estimate.shape:
         raise ShapeMismatchError(f"shapes differ: {clean.shape} vs {estimate.shape}")
-    signal = float(np.sum(clean**2))
+    exp = -int(np.frexp(max(clean.max(initial=0.0), -clean.min(initial=0.0)))[1])
+    scaled = np.ldexp(clean, exp)  # the one block-sized temporary, reused for the residual
+    signal = float(np.sum(np.square(scaled, out=scaled)))
     if signal == 0.0:
         raise DegenerateInputError("clean block has zero energy")
-    resid = clean - estimate
-    resid = float(np.sum(np.square(resid, out=resid)))  # numpy does this alone from 256 KiB
+    resid = np.ldexp(np.subtract(clean, estimate, out=scaled), exp, out=scaled)
+    resid = float(np.sum(np.square(resid, out=resid)))
     if resid == 0.0:
         return float("inf")
     return 10.0 * np.log10(signal / resid)
@@ -43,7 +49,7 @@ def std(estimates: np.ndarray) -> float:
     estimates = np.asarray(estimates, dtype=float)
     if estimates.size < 2:
         raise ValueError("need at least two estimates")
-    return float(np.sqrt(np.mean((estimates - estimates.mean()) ** 2)))
+    return float(np.std(estimates))
 
 
 def std_20hz(estimates: np.ndarray) -> float:

@@ -56,6 +56,7 @@ import numpy as np
 from .brown import (BrownConstants, BrownParams, _model_and_jacobian, brown_jacobian,
                     brown_waveform)
 from .errors import DivergedError
+from .solver import chunk_slices
 
 MAX_ITERATIONS = 200
 STEP_TOL = 1e-8
@@ -85,11 +86,6 @@ class FitResult:
 
 # Lower bounds of (swh, tau, pu): a trial step is clipped back onto swh, pu >= 0.
 _LOWER = np.array([0.0, -np.inf, 0.0])
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of each row pair, the same BLAS ddot as ``a[i] @ b[i]``."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def _solve(systems: np.ndarray, rhs: np.ndarray):
@@ -133,12 +129,12 @@ def _lm_fit(y, consts, starts):
     theta = np.maximum(np.array(starts, dtype=float), _LOWER)
     n = len(theta)
     y = np.broadcast_to(y, (n, np.shape(y)[-1]))
-    # Contiguous rows keep each start's cost, _rowdot(resid, resid), the
-    # same ddot whatever other starts share its batch.
+    # Contiguous rows keep each start's cost, np.vecdot(resid, resid), the
+    # same ddot as resid[i] @ resid[i] whatever other starts share its batch.
     params = BrownParams(*theta.T)
     resid = np.ascontiguousarray(y - brown_waveform(params, consts).T)
     normal, grad = _normal_equations(brown_jacobian(params, consts), resid)
-    cost = _rowdot(resid, resid)
+    cost = np.vecdot(resid, resid)
     lam = np.full(n, LAMBDA_INIT)
     iterations, rejects = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
@@ -157,7 +153,7 @@ def _lm_fit(y, consts, starts):
         trial = np.maximum(theta[tried] + steps, _LOWER)
         wave, trial_jac = _model_and_jacobian(trial, consts)
         trial_resid = y[tried] - wave
-        trial_cost = _rowdot(trial_resid, trial_resid)
+        trial_cost = np.vecdot(trial_resid, trial_resid)
         better = trial_cost <= cost[tried]
         won = tried[better]
         theta[won] = trial[better]
@@ -165,8 +161,8 @@ def _lm_fit(y, consts, starts):
         del wave, trial_jac
         cost[won] = trial_cost[better]
         lam[won] = np.maximum(lam[won] / LAMBDA_SHRINK, 1e-12)
-        step_norm = np.sqrt(_rowdot(steps, steps))
-        theta_norm = np.sqrt(_rowdot(theta[tried], theta[tried]))
+        step_norm = np.sqrt(np.vecdot(steps, steps))
+        theta_norm = np.sqrt(np.vecdot(theta[tried], theta[tried]))
         short = step_norm <= STEP_TOL * (theta_norm + STEP_TOL)
         converged[tried[short]] = True
 
@@ -255,8 +251,6 @@ def svd_filter(block: np.ndarray, energy_threshold: float) -> np.ndarray:
     block = np.asarray(block, dtype=float)
     left, sing, right_t = np.linalg.svd(block, full_matrices=False)
     rank = truncation_rank(sing, energy_threshold)
-    if rank == 0:
-        return np.zeros_like(block)
     return (left[:, :rank] * sing[:rank]) @ right_t[:rank]
 
 
@@ -264,8 +258,6 @@ def svd_filter_stream(
     block: np.ndarray, chunk_len: int, energy_threshold: float
 ) -> np.ndarray:
     """svd_filter applied chunk-by-chunk, mirroring the denoiser's chunking."""
-    from .solver import chunk_slices
-
     block = np.asarray(block, dtype=float)
     out = np.empty_like(block)
     for sl in chunk_slices(block.shape[1], chunk_len):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blockio import read_trajectory_csv
 from .brown import BrownConstants, BrownParams, waveform_block
 from .errors import BadRangeError, ShapeMismatchError
 
@@ -128,8 +129,6 @@ def make_trajectory(
     else:
         if path is None:
             raise ValueError("file trajectory needs a path")
-        from .blockio import read_trajectory_csv
-
         series = read_trajectory_csv(path)
         if series[0].size != num_signals:
             raise BadRangeError(

@@ -107,7 +107,7 @@ def _sweep(weighted, tail, kept, variances, aux, coupling):
     factors *= factors
     stats = np.vecdot(factors, weighted)  # residual power, prior energy
     stats[0] += tail
-    variances = gmrf.variance_sweep(variances, aux, coupling, stats, kept.size)
+    variances = gmrf.variance_sweep(aux, coupling, stats, kept.size)
     aux = gmrf.aux_sweep(variances, coupling)
     return filt, variances, aux, gmrf.chain_cost_terms(variances, aux, coupling, stats, kept.size)
 

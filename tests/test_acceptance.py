@@ -193,7 +193,7 @@ def test_criterion_5_mode_updates_match_minimiser():
         variances = rng.uniform(0.05, 20.0, K)
         aux = rng.uniform(0.05, 20.0, K)
         stats = rng.uniform(0.01, 80.0, K)
-        var_modes = variance_sweep(variances, aux, coupling, stats, M)
+        var_modes = variance_sweep(aux, coupling, stats, M)
         aux_modes = aux_sweep(variances, coupling)
         for k in (0, int(rng.integers(0, K)), K - 1):
             def var_restricted(x, k=k):

@@ -73,10 +73,22 @@ class TestGenerate:
     @pytest.mark.parametrize("flags, message", [
         (("--noise-var", "0.1"), "--noise-var is not read by --noise-mode multiplicative-speckle"),
         (("--traj", "smooth-random", "--swh", "3"), "--swh is not read by --traj smooth-random"),
-    ], ids=["noise-var", "swh"])
+        (("--traj", "file"), "--traj file needs --traj-file"),  # and one it reads is missing
+    ], ids=["noise-var", "swh", "traj-file-missing"])
     def test_unread_option_names_the_mode(self, tmp_path, capsys, flags, message):
         assert run("generate", "--n", 5, *flags, "--out-dir", tmp_path) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("pu", ["1e200", "1e-170"])
+    def test_input_rsnr_is_free_of_the_amplitude_unit(self, tmp_path, capsys, pu):
+        # far from 130 the energies overflow or underflow unless summed in units of the peak
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value in ("130", pu):
+                assert run("generate", "--traj", "constant", "--n", 8, "--pu", value,
+                           "--seed", 7, "--out-dir", tmp_path / value) == 0
+        reference, scaled = capsys.readouterr().out.splitlines()[1::2]
+        assert scaled == reference == "input RSNR: 19.52 dB"
 
     def test_manifest_records_unread_options_as_null(self, tmp_path):
         assert run("generate", "--n", 5, "--traj", "constant", "--out-dir", tmp_path) == 0
@@ -529,6 +541,7 @@ class TestManifestContract:
         (["generate", "--n", 8, "--swh-range", "5,1", "--out-dir", "{d}/out"], 2),
         (["denoise", "--input", "{d}/nan.blk", "--output", "{d}/out.blk"], 3),
         (["generate", "--n", 8, "--traj", "constant", "--pu", 0, "--out-dir", "{d}/out"], 3),
+        (["generate", "--n", 8, "--traj", "file", "--out-dir", "{d}/out"], 2),
         (["denoise", "--input", "{d}/absent.blk", "--output", "{d}/out.blk"], 4),
         (["bench", "--suite", "table1", "--n", 10, "--m-list=-5,5", "--out", "{d}/out"], 2),
         (["bench", "--suite", "table1", "--n", 10, "--m-list=20", "--out", "{d}/out"], 2),
@@ -551,7 +564,8 @@ class TestManifestContract:
         *[(["bench", "--suite", suite, "--runs", 2, "--swh-list=", "--out", "{d}/out"], 2)
           for suite in ("table2", "fig4")],
         *[(["generate", "--n", 8, *flags, "--out-dir", "{d}/out"], 2) for flags in _UNREAD_BY_MODE],
-    ], ids=["bad-range", "non-finite-block", "zero-energy", "missing-input",
+    ], ids=["bad-range", "non-finite-block", "zero-energy", "file-without-traj-file",
+            "missing-input",
             "negative-chunk", "chunk-beyond-track", "table1-zero-n", "truth-without-series",
             "ls-chunk", "ls-svd-threshold",
             "table1-runs", "table1-swh-list", "table1-chunk", "table1-svd-threshold",

@@ -20,20 +20,20 @@ def random_chain(rng, num_gates):
 
 class TestArithmetic:
     def test_variance_zero_residual_limit(self):
-        got = variance_sweep(np.full(5, 1.0), np.full(5, 1e-12), 2.0, np.zeros(5), 500)[1]
+        got = variance_sweep(np.full(5, 1e-12), 2.0, np.zeros(5), 500)[1]
         assert got == pytest.approx(2.0 * 2.0 * 2e-12 / 510.0, rel=1e-12)
 
     def test_variance_interior_arithmetic(self):
-        got = variance_sweep(np.full(5, 1.0), np.full(5, 1e-15), 2.0, np.full(5, 502.0), 500)[1]
+        got = variance_sweep(np.full(5, 1e-15), 2.0, np.full(5, 502.0), 500)[1]
         assert got == pytest.approx(502.0 / 510.0, rel=1e-9)
 
     def test_energy_interior_arithmetic(self):
-        got = variance_sweep(np.full(5, 1.0), np.full(5, 1e-15), 2.0, np.full(5, 510.0), 500)[2]
+        got = variance_sweep(np.full(5, 1e-15), 2.0, np.full(5, 510.0), 500)[2]
         assert got == pytest.approx(1.0, rel=1e-9)
 
     def test_variance_boundary_uses_single_neighbor(self):
         aux = np.array([0.1, 0.2, 0.3, 0.4])
-        got = variance_sweep(np.full(4, 1.0), aux, 2.0, np.full(4, 10.0), 100)[3]
+        got = variance_sweep(aux, 2.0, np.full(4, 10.0), 100)[3]
         assert got == pytest.approx((10.0 + 2 * 2.0 * 0.4) / (2 * 2.0 + 100 + 2))
 
     def test_aux_equal_neighbor_symmetry(self):
@@ -51,7 +51,7 @@ class TestArithmetic:
             v, a = random_chain(rng, num_gates)
             stats = rng.uniform(0.0, 50.0, num_gates)
             want = oracles.naive_variance_modes(v, a, 2.5, stats, 37)
-            np.testing.assert_allclose(variance_sweep(v, a, 2.5, stats, 37), want,
+            np.testing.assert_allclose(variance_sweep(a, 2.5, stats, 37), want,
                                        rtol=1e-14, atol=0)
             want_aux = oracles.naive_aux_modes(v, 2.5)
             np.testing.assert_allclose(aux_sweep(v, 2.5), want_aux,
@@ -78,10 +78,10 @@ class TestArithmetic:
         couplings = (2.5, 4.0)
         stats = rng.uniform(0.0, 50.0, (2, 9))
         v, a = np.stack([m[0] for m in members]), np.stack([m[1] for m in members])
-        got_var = variance_sweep(v, a, np.array(couplings), stats, 37)
+        got_var = variance_sweep(a, np.array(couplings), stats, 37)
         got_aux = aux_sweep(v, np.array(couplings))
         for k, ((mv, ma), c) in enumerate(zip(members, couplings)):
-            np.testing.assert_array_equal(got_var[k], variance_sweep(mv, ma, c, stats[k], 37))
+            np.testing.assert_array_equal(got_var[k], variance_sweep(ma, c, stats[k], 37))
             np.testing.assert_array_equal(got_aux[k], aux_sweep(mv, c))
         want_cost = sum(chain_cost_terms(mv, ma, c, s, 37)
                         for (mv, ma), c, s in zip(members, couplings, stats))
@@ -109,7 +109,7 @@ class TestMinimizerOracle:
                 return oracles.naive_chain_cost(v, aux, coupling, stats, num_signals)
 
             numeric = oracles.argmin_positive(restricted)
-            closed = variance_sweep(variances, aux, coupling, stats, num_signals)[k]
+            closed = variance_sweep(aux, coupling, stats, num_signals)[k]
             assert closed == pytest.approx(numeric, rel=1e-6)
 
     @pytest.mark.parametrize("num_signals", [1, 10, 500])
@@ -139,7 +139,7 @@ class TestProperties:
         variances, aux = random_chain(rng, 104)
         stats = rng.uniform(0.0, 10.0, 104)
         for _ in range(50):
-            variances = variance_sweep(variances, aux, 2.0, stats, 20)
+            variances = variance_sweep(aux, 2.0, stats, 20)
             aux = aux_sweep(variances, 2.0)
             assert np.all(variances > 0)
             assert np.all(aux > 0)
@@ -153,7 +153,7 @@ class TestProperties:
         def settle(coupling):
             v, aux = initial_chain(np.full(104, 1.0), coupling)
             for _ in range(50):
-                v = variance_sweep(v, aux, coupling, stats, 5)
+                v = variance_sweep(aux, coupling, stats, 5)
                 aux = aux_sweep(v, coupling)
             a, b = v[:-1] - v[:-1].mean(), v[1:] - v[1:].mean()
             return float(a @ b / np.sqrt((a @ a) * (b @ b)))

@@ -21,7 +21,8 @@ class TestRsnr:
         rng = np.random.default_rng(0)
         clean = rng.normal(0, 1, (6, 7))
         est = clean + rng.normal(0, 0.1, (6, 7))
-        assert rsnr(4.0 * clean, 4.0 * est) == rsnr(clean, est)
+        for scale in (4.0, 2.0**-600, 2.0**500):  # the energies underflow or overflow unscaled
+            assert rsnr(scale * clean, scale * est) == rsnr(clean, est)
 
     def test_residual_squared_in_place(self):
         # the same sums as the textbook formula, from one block-sized temporary;

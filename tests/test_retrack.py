@@ -428,6 +428,12 @@ class TestSvdFilter:
         err_rival = np.linalg.norm(block - rival)
         assert err_svd <= err_rival * (1 + 1e-10)
 
+    def test_zero_block_filters_to_zeros(self):
+        # rank 0: the empty truncated product is the zero block, chunk by chunk too
+        block = np.zeros((104, 5))
+        assert np.array_equal(svd_filter(block, 0.84), block)
+        assert np.array_equal(svd_filter_stream(block, 2, 0.84), block)
+
     def test_threshold_validation(self):
         block = np.ones((3, 3))
         with pytest.raises(ValueError):

@@ -217,7 +217,7 @@ class TestDenoise:
         stats = []
         sweep = gmrf.variance_sweep
         monkeypatch.setattr(gmrf, "variance_sweep",
-                            lambda v, a, c, s, m: stats.append(s) or sweep(v, a, c, s, m))
+                            lambda a, c, s, m: stats.append(s) or sweep(a, c, s, m))
         state = denoise(noisy)
         assert state.modes < 500
         resid, quads = stats[-1] * oracles.unit(noisy)  # one call updates both chains
