@@ -35,13 +35,19 @@ def rsnr(clean: np.ndarray, estimate: np.ndarray) -> float:
     return 10.0 * np.log10(signal / resid)
 
 
+def _root_mean_square(dev: np.ndarray) -> float:
+    """sqrt(mean(dev**2)), summed in units of g**2 as ``rsnr`` sums, g from max|dev|."""
+    exp = int(np.frexp(np.abs(dev).max(initial=0.0))[1])
+    return float(np.ldexp(np.sqrt(np.mean(np.square(np.ldexp(dev, -exp)))), exp))
+
+
 def rmse(estimates: np.ndarray, truth: np.ndarray) -> float:
     """Root mean square error of a 1-D estimate series against its truth."""
     estimates = np.asarray(estimates, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if estimates.shape != truth.shape:
         raise ShapeMismatchError("estimates and truth must have equal lengths")
-    return float(np.sqrt(np.mean((estimates - truth) ** 2)))
+    return _root_mean_square(estimates - truth)
 
 
 def std(estimates: np.ndarray) -> float:
@@ -49,7 +55,7 @@ def std(estimates: np.ndarray) -> float:
     estimates = np.asarray(estimates, dtype=float)
     if estimates.size < 2:
         raise ValueError("need at least two estimates")
-    return float(np.std(estimates))
+    return _root_mean_square(estimates - estimates.mean())
 
 
 def std_20hz(estimates: np.ndarray) -> float:
@@ -64,8 +70,6 @@ def std_20hz(estimates: np.ndarray) -> float:
     if n < WINDOW_20HZ:
         raise ValueError(f"need at least {WINDOW_20HZ} samples, got {n}")
     groups = np.arange(n) // WINDOW_20HZ
-    counts = np.bincount(groups)
-    means = np.bincount(groups, weights=estimates) / counts
-    dev = estimates - means[groups]
-    return float(np.sqrt(np.mean(dev**2)))
+    means = np.bincount(groups, weights=estimates) / np.bincount(groups)
+    return _root_mean_square(estimates - means[groups])
 

@@ -15,18 +15,23 @@ the trial steps' model and jacobian together, in one
 ``brown._model_and_jacobian`` call on the n x K rows.  A start carries only
 its 3 x 3 normal equations J^T J and J^T r into the next pass, so only the
 starts go through ``BrownParams`` and the public ``brown_waveform`` and
-``brown_jacobian``.  Every start keeps its own damping, rejections,
-convergence test and iteration cap, so its result does not depend on which
-other starts share its batch.  A start that cannot descend is dropped; the
-fit raises DivergedError only when every start is dropped.
+``brown_jacobian``.  The steps are Marquardt's (SIAM J. Appl. Math. 11,
+1963), scaled by D = sqrt(diag J^T J), and the stop tests MINPACK's (see
+``_lm_fit``); none depends on the amplitude unit.  Scaling y by a power of
+two keeps swh, tau and the iterations bit for bit and scales pu and the
+residual exactly; factors from 1e-8 to 1e8 move them by a few ulps.  Each
+start keeps its own damping, rejections, stop tests and iteration cap, so
+its result does not depend on which other starts share its batch.  A start
+that cannot descend is dropped; the fit raises DivergedError only when
+every start is dropped.
 
 ``fit_block`` uses the smoothness of the track.  It fits the columns in
 consecutive batches of ``FIT_BATCH``, one batched run per batch, with every
-column of a batch starting from one anchor: the latest fit before the batch
-with swh > 0.  Until there is such a fit (the first column, or only fits on
-swh = 0, the spurious minimum a start there keeps) the next column runs the
-grid, exactly as ``ls_fit`` alone does, and becomes the anchor if its swh is
-positive.  A warm fit is kept, marked ``warm``, only if
+column of a batch starting from one anchor, evaluated once: the latest fit
+before the batch with swh > 0.  Until there is such a fit (the first column,
+or only fits on swh = 0, the spurious minimum a start there keeps) the next
+column runs the grid, exactly as ``ls_fit`` alone does, and becomes the
+anchor if its swh is positive.  A warm fit is kept, marked ``warm``, only if
 - it converged (a diverged start never does): otherwise it found no minimum;
 - it ended at swh > 0: otherwise the grid's four other starts may avoid
   that boundary minimum;
@@ -34,13 +39,12 @@ positive.  A warm fit is kept, marked ``warm``, only if
   speckle moves the cost far less, so a larger one is another minimum.
 Any other column reruns the grid on its own, through ``ls_fit``.  Where
 minima compete, a column's fit can depend on the visiting order; on smooth
-tracks, reversing it moves swh by at most 1e-6 and tau and pu by at most 5e-8
-relative (pinned by the time-reversal tests).  The fits fill
-one ``FitResult`` of length-N arrays.  A lone start costs mostly NumPy call
+tracks, reversing it moves swh by at most 1.1e-4 and tau and pu by at most
+3.2e-6 relative (pinned by the time-reversal tests).  The fits fill one
+``FitResult`` of length-N arrays.  A lone start costs mostly NumPy call
 overhead, which a batch shares.  On a denoised 104 x 200 track (2-core VM),
-widths 16, 32 and 64 take 24, 19 and 18 ms and peak at 0.23, 0.43 and 0.84 MB.
-At 64 the CLI estimate step would peak at 1.05-1.07 MB; the other steps peak
-at 0.50-0.57 MB.
+widths 16, 32 and 64 took 24, 19 and 18 ms, but 64 would lift the CLI
+estimate step's peak from about 0.6 MB, the other steps', to 1.05-1.07 MB.
 
 ``svd_filter`` reconstructs a block from the smallest leading set of
 singular components whose cumulative squared-singular-value fraction
@@ -60,6 +64,7 @@ from .solver import chunk_slices
 
 MAX_ITERATIONS = 200
 STEP_TOL = 1e-8
+FTOL = 1e-8  # MINPACK's and SciPy's default relative-reduction tolerance
 LAMBDA_INIT = 1e-3
 LAMBDA_GROW = 10.0
 LAMBDA_SHRINK = 3.0
@@ -110,61 +115,60 @@ def _normal_equations(jac: np.ndarray, resid: np.ndarray):
 
 
 def _lm_fit(y, consts, starts):
-    """Levenberg-Marquardt from every row of the n x 3 starts at once.
+    """Levenberg-Marquardt from the m x 3 starts on the n x K waveforms y.
 
-    y holds one waveform per start, n x K, or one waveform that every start
-    fits.  Each start keeps its own damping lam, iteration and reject counts,
-    convergence test and 3 x 3 J^T J and J^T r, from ``brown_jacobian`` at the
-    start and then from each accepted trial's jacobian.  Each pass tries one
-    damped step for every active start, in one ``_solve`` and one
-    ``_model_and_jacobian`` call, so a rejected trial wastes one jacobian.
-    An iteration lasts from a start's first trial to its accepted step.  A
-    rejected or unsolvable step grows lam by LAMBDA_GROW; after MAX_REJECTS
-    in a row the start diverges, unless a rejected step passes the STEP_TOL
-    test: the start is then at its minimum, where rounding can make every
-    step uphill, and has converged.  MAX_ITERATIONS stops a start only
-    between iterations.  Returns per start the parameters, cost, iterations
-    and the converged and diverged flags.
+    Either side broadcasts: ``ls_fit`` passes one waveform and five starts, a
+    warm batch n waveforms and one start, evaluated once.  A pass solves
+    (C + lam I) z = D^-1 J^T r, C = D^-1 J^T J D^-1, for every active row in
+    one ``_solve`` and tries theta + z / D in one ``_model_and_jacobian``
+    call.  An accepted trial ends an iteration, and converges if its gain and
+    the predicted 2 z.D^-1 J^T r - z.C z are both at most FTOL of the cost.
+    Any trial with |z| <= STEP_TOL |D theta| converges: rejected, it is at its
+    minimum, where rounding can make every step uphill.  A rejected or
+    unsolvable step grows lam by LAMBDA_GROW; MAX_REJECTS in a row diverge
+    the row.  MAX_ITERATIONS stops a row only between iterations.  Returns
+    per row the parameters, cost, iterations and converged and diverged flags.
     """
-    theta = np.maximum(np.array(starts, dtype=float), _LOWER)
-    n = len(theta)
-    y = np.broadcast_to(y, (n, np.shape(y)[-1]))
-    # Contiguous rows keep each start's cost, np.vecdot(resid, resid), the
-    # same ddot as resid[i] @ resid[i] whatever other starts share its batch.
-    params = BrownParams(*theta.T)
+    starts = np.maximum(np.array(starts, dtype=float), _LOWER)
+    params = BrownParams(*starts.T)
+    # Contiguous rows keep each row's cost, np.vecdot(resid, resid), the
+    # same ddot as resid[i] @ resid[i] whatever other rows share its batch.
     resid = np.ascontiguousarray(y - brown_waveform(params, consts).T)
+    n = len(resid)
+    y = np.broadcast_to(y, resid.shape)
     normal, grad = _normal_equations(brown_jacobian(params, consts), resid)
+    normal = np.broadcast_to(normal, (n, 3, 3)).copy()
+    theta = np.broadcast_to(starts, (n, 3)).copy()
     cost = np.vecdot(resid, resid)
     lam = np.full(n, LAMBDA_INIT)
     iterations, rejects = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-    converged = np.zeros(n, dtype=bool)
-    diverged = np.zeros(n, dtype=bool)
+    converged, diverged = np.zeros((2, n), dtype=bool)
     active = np.ones(n, dtype=bool)
 
     while active.any():
         at = np.flatnonzero(active)
         iterations[at[rejects[at] == 0]] += 1
-        damping = np.diagonal(normal[at], axis1=1, axis2=2).copy()
-        # keeps zero columns solvable
-        damping += 1e-12 * np.maximum(damping.max(axis=1), 1.0)[:, None]
-        damping = np.eye(3) * damping[:, None, :]
-        steps, solved = _solve(normal[at] + lam[at, None, None] * damping, grad[at])
-        tried, steps = at[solved], steps[solved]
-        trial = np.maximum(theta[tried] + steps, _LOWER)
+        scale = np.sqrt(np.diagonal(normal[at], axis1=1, axis2=2))
+        scale[scale == 0.0] = 1.0  # a zero column: lam alone damps its z
+        scaled = normal[at] / (scale[:, :, None] * scale[:, None, :])
+        sgrad = grad[at] / scale
+        z, solved = _solve(scaled + lam[at, None, None] * np.eye(3), sgrad)
+        predicted = np.vecdot(z, 2.0 * sgrad - np.vecdot(scaled, z[:, None, :]))
+        tried, z, scale, predicted = at[solved], z[solved], scale[solved], predicted[solved]
+        trial = np.maximum(theta[tried] + z / scale, _LOWER)
         wave, trial_jac = _model_and_jacobian(trial, consts)
         trial_resid = y[tried] - wave
         trial_cost = np.vecdot(trial_resid, trial_resid)
         better = trial_cost <= cost[tried]
+        flat = better & (np.maximum(cost[tried] - trial_cost, predicted) <= FTOL * cost[tried])
         won = tried[better]
         theta[won] = trial[better]
         normal[won], grad[won] = _normal_equations(trial_jac[better], trial_resid[better])
         del wave, trial_jac
         cost[won] = trial_cost[better]
         lam[won] = np.maximum(lam[won] / LAMBDA_SHRINK, 1e-12)
-        step_norm = np.sqrt(np.vecdot(steps, steps))
-        theta_norm = np.sqrt(np.vecdot(theta[tried], theta[tried]))
-        short = step_norm <= STEP_TOL * (theta_norm + STEP_TOL)
-        converged[tried[short]] = True
+        short = np.vecdot(z, z) <= STEP_TOL**2 * np.square(scale * theta[tried]).sum(axis=1)
+        converged[tried[flat | short]] = True
 
         rejects[at] += 1
         rejects[tried[better | short]] = 0
@@ -186,7 +190,7 @@ def ls_fit(y: np.ndarray, consts: BrownConstants) -> FitResult:
     if not np.all(np.isfinite(y)):
         raise ValueError("waveform must be finite")
 
-    pu0 = max(float(y.max()), 1e-6)
+    pu0 = float(y.max()) if y.max() > 0 else 1e-6
     starts = [[2.0, frac * consts.window_meters, pu0] for frac in TAU_GRID_FRACTIONS]
     theta, cost, iterations, converged, diverged = _lm_fit(y, consts, starts)
     kept = np.flatnonzero(~diverged)
@@ -218,7 +222,7 @@ def fit_block(block: np.ndarray, consts: BrownConstants) -> FitResult:
         y = np.ascontiguousarray(block[:, lo:hi].T)
         if anchor is not None:
             theta[lo:hi], cost, iterations[lo:hi], converged[lo:hi], _ = _lm_fit(
-                y, consts, [theta[anchor]] * (hi - lo))
+                y, consts, theta[anchor:anchor + 1])
             norm[lo:hi] = np.sqrt(cost)
             warm[lo:hi] = (converged[lo:hi] & (theta[lo:hi, 0] > 0)
                            & (cost <= WARM_COST_RATIO * norm[anchor]**2))

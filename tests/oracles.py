@@ -244,8 +244,9 @@ def dense_posterior_mean_raw(row, noise_var, energy_var, corr_values) -> np.ndar
 def naive_lm_fit(y, consts, theta0):
     """Damped Gauss-Newton from one start, one model call per trial.
 
-    The scalar form of the batched core behind ``retrack.ls_fit``.  Returns
-    (theta, cost, iterations, converged); raises DivergedError after
+    The scalar form of the batched core behind ``retrack.ls_fit``: Marquardt's
+    scaled step, and MINPACK's relative-reduction and scaled step tests.
+    Returns (theta, cost, iterations, converged); raises DivergedError after
     MAX_REJECTS consecutive rejected steps, unless a rejected step already
     passes the STEP_TOL test (converged at the current theta).
     """
@@ -258,38 +259,44 @@ def naive_lm_fit(y, consts, theta0):
     def model(theta):
         return brown_waveform(BrownParams(swh=theta[0], tau=theta[1], pu=theta[2]), consts)
 
+    def short(z, scale, theta):
+        return np.linalg.norm(z) <= retrack.STEP_TOL * np.linalg.norm(scale * theta)
+
     theta = project(np.asarray(theta0, dtype=float))
     resid = y - model(theta)
     cost = float(resid @ resid)
     lam = retrack.LAMBDA_INIT
     for iteration in range(1, retrack.MAX_ITERATIONS + 1):
         jac = brown_jacobian(BrownParams(swh=theta[0], tau=theta[1], pu=theta[2]), consts)
-        grad = jac.T @ resid
         normal = jac.T @ jac
-        damping = np.diag(normal).copy()
-        damping += 1e-12 * max(damping.max(), 1.0)
+        scale = np.sqrt(np.diag(normal))
+        scale[scale == 0.0] = 1.0
+        scaled = normal / np.outer(scale, scale)
+        sgrad = (jac.T @ resid) / scale
 
         rejects = 0
         while True:
             try:
-                step = np.linalg.solve(normal + lam * np.diag(damping), grad)
+                z = np.linalg.solve(scaled + lam * np.eye(3), sgrad)
             except np.linalg.LinAlgError:
-                step = None
-            if step is not None:
-                trial = project(theta + step)
+                z = None
+            if z is not None:
+                trial = project(theta + z / scale)
                 trial_resid = y - model(trial)
                 trial_cost = float(trial_resid @ trial_resid)
                 if trial_cost <= cost:
+                    predicted = 2.0 * z @ sgrad - z @ scaled @ z
+                    tol = retrack.FTOL * cost
+                    flat = cost - trial_cost <= tol and predicted <= tol
                     theta, resid, cost = trial, trial_resid, trial_cost
                     lam = max(lam / retrack.LAMBDA_SHRINK, 1e-12)
                     break
-                if np.linalg.norm(step) <= retrack.STEP_TOL * (np.linalg.norm(theta)
-                                                              + retrack.STEP_TOL):
+                if short(z, scale, theta):
                     return theta, cost, iteration, True  # already at its minimum
             rejects += 1
             lam *= retrack.LAMBDA_GROW
             if rejects >= retrack.MAX_REJECTS:
                 raise DivergedError(f"no descent after {rejects} consecutive damped steps")
-        if np.linalg.norm(step) <= retrack.STEP_TOL * (np.linalg.norm(theta) + retrack.STEP_TOL):
+        if flat or short(z, scale, theta):
             return theta, cost, iteration, True
     return theta, cost, retrack.MAX_ITERATIONS, False

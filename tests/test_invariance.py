@@ -1,9 +1,7 @@
 """End-to-end invariances of the CLI pipeline, run through ``cli.main``.
 
 Each test runs the same work twice in ways that should not matter, and
-compares the written files.  The amplitude relation covers the denoiser
-only: retracking's stop rule, a step-norm test over swh, tau and pu, is not
-scale-free yet (ROADMAP item 4).
+compares the written files.
 """
 
 import numpy as np
@@ -13,13 +11,17 @@ from altismooth import blockio
 from altismooth.cli import main
 
 # Each bound is 7-12 times the largest gap measured over seeds 1-5, 7, 11 and
-# 901: denoised 1.4e-14 of the block maximum; swh 5.9e-8, tau 1.2e-9, pu 8.5e-10
-# and residual 3.7e-14 relative.
+# 901: denoised 1.4e-14 of the block maximum; swh 4.5e-6, tau 1.3e-7, pu 8.2e-8
+# and residual 6.1e-11 relative, where each order's fit stops (retrack.FTOL).
 DENOISED_GAP = 1e-13
-FIT_GAPS = {"swh_m": 5e-7, "tau_m": 1e-8, "pu": 1e-8, "residual": 3e-13}
+FIT_GAPS = {"swh_m": 5e-5, "tau_m": 1e-6, "pu": 9e-7, "residual": 5e-10}
 # 11 times the largest gap of denoise(a Y) from a denoise(Y), over seeds 1-5, 7,
 # 11 and 901 at a in {1e-6, 3, 1e6}: 6.5e-11 of the block maximum (seed 2, a = 3)
 SCALE_GAP = 7e-10
+# 8-10 times the largest relative gap of estimate(a Y) from estimate(Y), pu and
+# residual divided by a, over the same seeds at a in {1e-8, 1e-6, 3, 1e6, 1e8}:
+# swh 1.5e-15, tau 2.5e-16, pu 2.0e-16 and residual 7.3e-16
+ESTIMATE_SCALE_GAPS = {"swh_m": 1.5e-14, "tau_m": 2e-15, "pu": 2e-15, "residual": 7e-15}
 
 
 def run(*argv):
@@ -87,3 +89,26 @@ def test_amplitude_scaling(tmp_path, seed):
             assert got.tobytes() == (scale * want).tobytes()
         else:
             assert np.abs(got / scale - want).max() <= SCALE_GAP * np.abs(want).max()
+
+
+@pytest.mark.parametrize("seed", [7, 901, 3])
+def test_estimate_amplitude_scaling(tmp_path, seed):
+    # retracking a Y gives the same swh and tau and a times the pu and
+    # residual: bit for bit when a is a power of two, else within
+    # ESTIMATE_SCALE_GAPS.  The input is the noisy block, not a denoised one,
+    # whose own scale gap would hide retracking's
+    run("generate", "--n", 1000, "--seed", seed, "--out-dir", tmp_path)
+    noisy = blockio.read_block(tmp_path / "noisy.blk")
+    run("estimate", "--input", tmp_path / "noisy.blk", "--output", tmp_path / "est.csv")
+    want = np.genfromtxt(tmp_path / "est.csv", delimiter=",", names=True)
+    for scale in (2.0**-30, 2.0**20, 1e-8, 1e-6, 3.0, 1e6, 1e8):
+        blockio.write_block(tmp_path / "scaled.blk", scale * noisy)
+        run("estimate", "--input", tmp_path / "scaled.blk", "--output", tmp_path / "out.csv")
+        got = np.genfromtxt(tmp_path / "out.csv", delimiter=",", names=True)
+        for name, bound in ESTIMATE_SCALE_GAPS.items():
+            unit = scale if name in ("pu", "residual") else 1.0
+            if np.frexp(scale)[0] == 0.5:
+                assert np.array_equal(got[name], unit * want[name]), name
+            else:
+                assert np.all(np.abs(got[name] / unit - want[name])
+                              <= bound * np.abs(want[name])), name

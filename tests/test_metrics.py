@@ -70,6 +70,30 @@ class TestRmseStd:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+class TestSeriesScaling:
+    # the series statistics square in power-of-two units, as rsnr does
+    @pytest.fixture
+    def series(self):
+        rng = np.random.default_rng(4)
+        truth = np.linspace(1.0, 2.0, 40)
+        return truth * rng.normal(1.0, 0.1, 40), truth
+
+    def stats(self, estimates, truth):
+        return np.array([rmse(estimates, truth), std(estimates), std_20hz(estimates)])
+
+    def test_extreme_amplitudes(self, series):
+        # unscaled, the squares overflow to inf at 1e200 and underflow to 0 at 1e-170
+        want = self.stats(*series)
+        for scale in (1e200, 1e-200, 1e-170):
+            got = self.stats(scale * series[0], scale * series[1]) / scale
+            assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+    def test_power_of_two_scaling_is_exact(self, series):
+        want = self.stats(*series)
+        for scale in (2.0**-600, 2.0**-3, 2.0**5, 2.0**600):
+            assert np.array_equal(self.stats(scale * series[0], scale * series[1]), scale * want)
+
+
 class TestStd20Hz:
     def test_constant_series(self):
         assert std_20hz(np.full(100, 7.0)) == 0.0

@@ -7,6 +7,7 @@ import pytest
 import altismooth as alt
 from altismooth import BrownParams, brown_jacobian, brown_waveform, retrack
 from altismooth.retrack import (
+    FTOL,
     TAU_GRID_FRACTIONS,
     WARM_COST_RATIO,
     fit_block,
@@ -79,11 +80,13 @@ class TestLsFit:
             resid = y - brown_waveform(fit.params, consts)
             grad = brown_jacobian(fit.params, consts).T @ resid
             # scale-aware stationarity: each gradient component measured
-            # against the curvature of its own axis
+            # against the curvature of its own axis.  A fit stops once a step
+            # gains at most FTOL of the cost, which leaves a gradient of order
+            # sqrt(FTOL) on this scale (measured: 4.3e-5)
             jac = brown_jacobian(fit.params, consts)
             scales = np.sqrt((jac**2).sum(axis=0)) * fit.residual_norm
             active = np.array([fit.params.swh > 0, True, fit.params.pu > 0])
-            assert np.all(np.abs(grad[active]) <= 1e-5 * scales[active])
+            assert np.all(np.abs(grad[active]) <= np.sqrt(FTOL) * scales[active])
 
     def test_speckled_block_estimates_center_on_truth(self, consts):
         truth, y0 = exact_waveform(consts)
@@ -118,7 +121,7 @@ class TestLsFit:
         for y in noisy.T:
             best, best_cost, best_index = None, None, None
             for i, frac in enumerate(TAU_GRID_FRACTIONS):
-                start = [2.0, frac * consts.window_meters, max(y.max(), 1e-6)]
+                start = [2.0, frac * consts.window_meters, y.max() if y.max() > 0 else 1e-6]
                 cand, diverged = single_start(y, consts, start)
                 if diverged:
                     continue
@@ -129,6 +132,19 @@ class TestLsFit:
             assert ls_fit(y, consts) == best
             winners.append(best_index)
         assert any(i != 0 for i in winners)
+
+    def test_power_of_two_amplitude_is_exact(self, consts):
+        # a waveform scaled by a power of two fits to the same swh, tau and
+        # iterations bit for bit, and to pu and residual scaled by it; also
+        # where the scaled max(y) is far below 1e-6
+        _, y0 = exact_waveform(consts)
+        y = alt.corrupt(y0[:, None], alt.NoiseSpec(looks=90.0, seed=3))[:, 0]
+        want = ls_fit(y, consts)
+        for scale in (2.0**-30, 2.0**-60, 2.0**40):
+            got = ls_fit(scale * y, consts)
+            assert got == dataclasses.replace(
+                want, residual_norm=scale * want.residual_norm,
+                params=dataclasses.replace(want.params, pu=scale * want.params.pu))
 
     def test_traced_fields_are_json_scalars(self, consts):
         # the traced benchmark records iterations and converged of every call
@@ -171,8 +187,8 @@ def columns(fits):
 def record_fits(monkeypatch, change_warm=lambda out: out):
     """Wrap retrack._lm_fit to log each call's waveforms, starts and outcome.
 
-    fit_block passes a warm batch one waveform per start, ls_fit a single
-    waveform.  Each warm batch's outcome is passed through change_warm
+    fit_block passes a warm batch its waveforms and the one anchor start,
+    ls_fit a single waveform and the grid starts.  Each warm batch's outcome is passed through change_warm
     before fit_block sees it.
     """
     real, calls = retrack._lm_fit, []
@@ -207,20 +223,20 @@ class TestFitBlock:
     ])
     def test_time_reversal(self, consts, kind, seed, n, chunk):
         # warm starts make a column's fit depend on the visiting order; on
-        # smooth tracks both orders must still reach the same minima.  The
-        # largest relative gaps measured on the 600-signal tracks: 3.5e-7
-        # (swh), 5.5e-9 (tau), 3.9e-9 (pu) and 2.1e-14 (cost) at seeds 7 and
-        # 901; 5.6e-7, 1.3e-8, 9.4e-9 and 4.2e-14 at seeds 1-5.  They come
-        # from where LM's step test stops.
+        # smooth tracks both orders must still reach the same minima.  Each
+        # order stops once a step gains at most FTOL of the cost, so their
+        # costs may differ by 2 FTOL.  The largest relative gaps measured over
+        # these cases and the 600-signal tracks of seeds 1-5: 1.08e-4 (swh),
+        # 3.2e-6 (tau), 2.35e-6 (pu) and 1.78e-9 (cost), all on raw tracks.
         block = track(consts, kind, n, seed, denoised=False)
         if chunk is not None:
             block = alt.denoise_stream(block, chunk)
         forward = fit_block(block, consts)
         backward = fit_block(block[:, ::-1], consts)
         assert forward.warm.sum() >= n - 10
-        assert np.all(np.abs(cost(backward)[::-1] - cost(forward)) <= 1e-13 * cost(forward))
+        assert np.all(np.abs(cost(backward)[::-1] - cost(forward)) <= 2 * FTOL * cost(forward))
         rel = np.abs(triplet(backward.params)[::-1] / triplet(forward.params) - 1.0)
-        assert np.all(rel <= [1e-6, 5e-8, 5e-8])
+        assert np.all(rel <= [1e-3, 3e-5, 3e-5])
 
     @pytest.mark.parametrize("denoised", [False, True])
     def test_no_column_above_grid_cost(self, consts, denoised):
@@ -228,7 +244,21 @@ class TestFitBlock:
         fits = fit_block(block, consts)
         assert fits.warm.sum() >= 70
         grid = np.array([cost(ls_fit(y, consts)) for y in block.T])
-        assert np.all(cost(fits) <= grid * (1 + 1e-9))
+        assert np.all(cost(fits) <= grid * (1 + FTOL))  # measured: 1 + 1.6e-9
+
+    def test_work_count(self, consts, monkeypatch):
+        # the trial passes and kernel rows of one fixed block: deterministic,
+        # so a change that adds LM passes fails here, not in timing noise
+        block = track(consts, "constant", 200, 7, denoised=True)
+        real, rows = retrack._model_and_jacobian, []
+
+        def counted(theta, c):
+            rows.append(len(theta))
+            return real(theta, c)
+
+        monkeypatch.setattr(retrack, "_model_and_jacobian", counted)
+        fit_block(block, consts)
+        assert (len(rows), sum(rows)) == (46, 776)
 
     def test_returns_one_batch(self, consts):
         # one FitResult of length-N arrays, column m's fit at index m
@@ -272,7 +302,7 @@ class TestFitBlock:
         for (lo, hi), (ys, starts, _) in zip(bounds, warm_batches(calls)):
             anchor = np.flatnonzero(fits.params.swh[:lo] > 0)[-1]
             assert np.array_equal(ys, block[:, lo:hi].T)
-            assert np.array_equal(starts, [triplet(fits.params)[anchor]] * (hi - lo))
+            assert np.array_equal(starts, [triplet(fits.params)[anchor]])
             for m in range(lo, hi):
                 fit = column(fits, m)
                 if fit.warm:

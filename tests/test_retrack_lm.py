@@ -21,7 +21,8 @@ from conftest import single_start
 
 
 def grid_starts(y, consts):
-    return [[2.0, f * consts.window_meters, max(y.max(), 1e-6)] for f in TAU_GRID_FRACTIONS]
+    pu0 = y.max() if y.max() > 0 else 1e-6
+    return [[2.0, f * consts.window_meters, pu0] for f in TAU_GRID_FRACTIONS]
 
 
 def speckled(consts, n, seed):
