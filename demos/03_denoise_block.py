@@ -6,9 +6,11 @@ process and estimates, jointly with the signals, a per-gate noise variance
 and a per-gate signal-energy variance, both smoothed along the gate axis by
 coupled auxiliary chains.  Every update is closed-form, so each sweep is
 vector work on the block's eigenbasis coefficients, and the negative log
-posterior decreases monotonically until the relative change drops below the
-threshold.  Only the leading eigenmodes of the smoothness kernel are kept;
-the rest sit at the kernel's jitter, and their energy is counted as noise.
+posterior decreases monotonically until a sweep changes it by at most
+solver.XI (1e-3) of its value, or for solver.T_MAX (100) sweeps; like the
+couplings and the kernel lengthscale, these are the paper's fixed settings.
+Only the leading eigenmodes of the smoothness kernel are kept; the rest sit
+at the kernel's jitter, and their energy is counted as noise.
 The chains start from each gate's measured energy and the energy of its
 dropped modes, in units of g**2 with g the power of two nearest the block's
 RMS, so scaling the input by a power of two scales the output exactly.
@@ -16,7 +18,6 @@ RMS, so scaling the input by a power of two scales the output exactly.
 
 from altismooth import (
     NoiseSpec,
-    SolverConfig,
     clean_block,
     corrupt,
     denoise,
@@ -36,12 +37,12 @@ print(f"track: {noisy.shape[0]} x {noisy.shape[1]}, "
       f"input RSNR {rsnr(clean, noisy):.2f} dB\n")
 
 # One 500-signal block, watching the cost trace.
-state = denoise(noisy[:, :500], SolverConfig())
+state = denoise(noisy[:, :500])
 print("single 500-signal block:")
 print(f"  stopped: {state.stop_reason} after {state.iterations} sweeps")
 print("  cost trace (units of g**2):", "  ".join(f"{v:.4g}" for v in state.cost_trace))
 print(f"  output RSNR {rsnr(clean[:, :500], state.denoised):.2f} dB")
-scaled = denoise(4.0 * noisy[:, :500], SolverConfig())
+scaled = denoise(4.0 * noisy[:, :500])
 assert (scaled.denoised == 4.0 * state.denoised).all(), "denoise(4 Y) != 4 denoise(Y)"
 print("  denoise(4 Y) equals 4 denoise(Y) bit for bit\n")
 

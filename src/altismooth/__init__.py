@@ -37,7 +37,7 @@ from .kernels import CovarianceBasis, build_correlation, decompose
 from .metrics import rmse, rsnr, std, std_20hz
 from .retrack import FitResult, fit_block, ls_fit, svd_filter, svd_filter_stream
 from .simulate import NoiseSpec, clean_block, corrupt, make_trajectory
-from .solver import SolverConfig, SolverState, denoise, denoise_stream
+from .solver import SolverState, denoise, denoise_stream
 
 __all__ = [
     "AltismoothError",
@@ -52,7 +52,6 @@ __all__ = [
     "NonFiniteError",
     "NotPositiveDefiniteError",
     "ShapeMismatchError",
-    "SolverConfig",
     "SolverState",
     "brown_jacobian",
     "brown_waveform",

@@ -1,7 +1,7 @@
 """Benchmark suites over synthetic tracks.
 
-Three experiments, all fully seeded and denoised with the default
-``SolverConfig``:
+Three experiments, all fully seeded and denoised with the solver's fixed
+settings:
 
 * table1: one long smooth-trajectory track, denoised at several chunk
   lengths; reports output RSNR and per-signal wall time per length.
@@ -87,7 +87,7 @@ def run_table1(
     return {"input_rsnr_db": input_rsnr_db, "rows": rows}
 
 
-def _sweep(swh_list, runs, looks, seed, consts, svd_threshold, chunk):
+def _sweep(swh_list, runs, looks, seed, consts, chunk):
     """Per SWH (its own speckle stream): trajectory, clean block, and the noisy
     block as ls with its SVD-filtered (svd) and denoised (sse) versions."""
     tau = float(gates_to_meters(SWEEP_TAU_GATES, consts))
@@ -95,8 +95,8 @@ def _sweep(swh_list, runs, looks, seed, consts, svd_threshold, chunk):
         traj = make_trajectory("constant", runs, swh=float(swh), tau=tau, pu=SWEEP_PU)
         clean = clean_block(traj, consts)
         noisy = corrupt(clean, NoiseSpec(looks=looks, seed=derive_seed(seed, NOISE_STREAM, i)))
-        yield traj, clean, {"ls": noisy, "svd": svd_filter_stream(noisy, chunk, svd_threshold),
-                            "sse": denoise_stream(noisy, chunk)}
+        svd = svd_filter_stream(noisy, chunk, DEFAULT_SVD_THRESHOLD)
+        yield traj, clean, {"ls": noisy, "svd": svd, "sse": denoise_stream(noisy, chunk)}
 
 
 def run_table2(
@@ -105,12 +105,11 @@ def run_table2(
     looks: float = DEFAULT_LOOKS,
     seed: int = 0,
     consts: BrownConstants | None = None,
-    svd_threshold: float = DEFAULT_SVD_THRESHOLD,
     chunk: int = DEFAULT_CHUNK,
 ) -> dict:
     consts = consts or jason2_like()
     rows = []
-    for traj, clean, versions in _sweep(swh_list, runs, looks, seed, consts, svd_threshold, chunk):
+    for traj, clean, versions in _sweep(swh_list, runs, looks, seed, consts, chunk):
         rows.append({"swh": float(traj.swh[0]), "rsnr_svd": rsnr(clean, versions["svd"]),
                      "rsnr_sse": rsnr(clean, versions["sse"])})
     return {"rows": rows}
@@ -122,12 +121,11 @@ def run_fig4(
     looks: float = DEFAULT_LOOKS,
     seed: int = 0,
     consts: BrownConstants | None = None,
-    svd_threshold: float = DEFAULT_SVD_THRESHOLD,
     chunk: int = DEFAULT_CHUNK,
 ) -> dict:
     consts = consts or jason2_like()
     rows = []
-    for traj, _, versions in _sweep(swh_list, runs, looks, seed, consts, svd_threshold, chunk):
+    for traj, _, versions in _sweep(swh_list, runs, looks, seed, consts, chunk):
         fitted = {label: fit_block(block, consts).params for label, block in versions.items()}
         row = {"swh": float(traj.swh[0])}
         for name in PARAM_NAMES:

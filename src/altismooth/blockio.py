@@ -34,6 +34,9 @@ def _atomic_write(path, *parts) -> None:
         with os.fdopen(fd, "wb") as fh:
             for part in parts:
                 fh.write(part)
+        umask = os.umask(0)  # read by setting it, then restored
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # open()'s mode, not mkstemp's 0o600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

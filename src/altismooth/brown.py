@@ -248,11 +248,8 @@ def load_constants(path) -> BrownConstants:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" in line:
-                key, _, val = line.partition("=")
-            elif ":" in line:
-                key, _, val = line.partition(":")
-            else:
+            key, sep, val = line.partition("=")
+            if not sep:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key = key.strip()
             if key not in PROFILE_KEYS:

@@ -24,10 +24,9 @@ import numpy as np
 from . import bench, blockio, metrics
 from .brown import BrownConstants, gates_to_meters, jason2_like, load_constants
 from .errors import AltismoothError, BadRangeError, NonFiniteError
-from .kernels import DEFAULT_LENGTHSCALE
 from .retrack import fit_block, svd_filter_stream
 from .simulate import NOISE_MODES, NoiseSpec, clean_block, corrupt, make_trajectory
-from .solver import SolverConfig, denoise_stream
+from .solver import denoise_stream
 
 EXIT_OK = 0
 EXIT_BAD_ARGS = 2
@@ -47,7 +46,7 @@ class Run:
 
 
 def _parse_pair(text: str) -> tuple[float, float]:
-    parts = text.replace(":", ",").split(",")
+    parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected 'lo,hi', got {text!r}")
     return float(parts[0]), float(parts[1])
@@ -101,11 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     den.add_argument("--input", type=Path, required=True)
     den.add_argument("--output", type=Path, required=True)
     den.add_argument("--chunk", type=int, default=bench.DEFAULT_CHUNK)
-    den.add_argument("--zeta", type=float, default=SolverConfig.zeta)
-    den.add_argument("--eta", type=float, default=SolverConfig.eta)
-    den.add_argument("--xi", type=float, default=SolverConfig.xi)
-    den.add_argument("--tmax", type=int, default=SolverConfig.t_max)
-    den.add_argument("--lengthscale", type=float, default=DEFAULT_LENGTHSCALE)
     den.add_argument("--emit-cost-trace", type=Path, default=None,
                      help="write a chunk,iteration,cost CSV here")
 
@@ -114,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--input", type=Path, required=True)
     est.add_argument("--output", type=Path, required=True)
     est.add_argument("--method", choices=("ls", "svd-ls"), default="ls")
-    est.add_argument("--svd-threshold", type=float, help="svd-ls only (default 0.84)")
     est.add_argument("--chunk", type=int, help="svd-ls only (default 500)")
 
     met = sub.add_parser("metrics",
@@ -135,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--swh-list", type=_parse_floats, help="table2/fig4 SWHs")
     ben.add_argument("--runs", type=int, help="table2/fig4 runs per SWH (default 500)")
     ben.add_argument("--looks", type=float, default=bench.DEFAULT_LOOKS)
-    ben.add_argument("--svd-threshold", type=float, help="table2/fig4 only")
     ben.add_argument("--chunk", type=int, help="table2/fig4 only")
     return parser
 
@@ -163,11 +155,6 @@ def _read_finite_block(path) -> np.ndarray:
     if not np.isfinite(block).all():
         raise NonFiniteError(f"{path}: block contains non-finite values")
     return block
-
-
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(zeta=args.zeta, eta=args.eta, xi=args.xi, t_max=args.tmax,
-                        lengthscale=args.lengthscale)
 
 
 def _manifest_args(args) -> dict:
@@ -223,8 +210,7 @@ def cmd_generate(args) -> Run:
 
 def cmd_denoise(args) -> Run:
     block = blockio.read_block(args.input)
-    config = _solver_config(args)
-    denoised, states = denoise_stream(block, args.chunk, config, with_states=True)
+    denoised, states = denoise_stream(block, args.chunk, with_states=True)
     blockio.write_block(args.output, denoised)
     outputs = {"denoised": args.output}
     if args.emit_cost_trace is not None:
@@ -245,12 +231,11 @@ def cmd_denoise(args) -> Run:
 
 
 def cmd_estimate(args) -> Run:
-    _options_read_by(args, "method", chunk=(("svd-ls",), bench.DEFAULT_CHUNK),
-                     svd_threshold=(("svd-ls",), bench.DEFAULT_SVD_THRESHOLD))
+    _options_read_by(args, "method", chunk=(("svd-ls",), bench.DEFAULT_CHUNK))
     consts = _constants(args)
     block = _read_finite_block(args.input)
     if args.method == "svd-ls":
-        block = svd_filter_stream(block, args.chunk, args.svd_threshold)
+        block = svd_filter_stream(block, args.chunk, bench.DEFAULT_SVD_THRESHOLD)
     fits, n = fit_block(block, consts), block.shape[1]
     p = fits.params
     fields = ["index", "swh_m", "tau_m", "pu", "residual", "converged"]
@@ -297,7 +282,6 @@ def cmd_bench(args) -> Run:
     _options_read_by(args, "suite", n=(table1, 5000), runs=(sweeps, 500),
                      m_list=(table1, list(bench.TABLE1_M_LIST)),
                      swh_list=(sweeps, list(bench.SWEEP_SWH_LIST)),
-                     svd_threshold=(sweeps, bench.DEFAULT_SVD_THRESHOLD),
                      chunk=(sweeps, bench.DEFAULT_CHUNK))
     consts = _constants(args)
     summary = []
@@ -319,8 +303,7 @@ def cmd_bench(args) -> Run:
         if not args.swh_list:
             raise BadRangeError("--swh-list is empty")
         suite = bench.run_table2 if args.suite == "table2" else bench.run_fig4
-        result = suite(args.swh_list, args.runs, args.looks, args.seed, consts,
-                       args.svd_threshold, args.chunk)
+        result = suite(args.swh_list, args.runs, args.looks, args.seed, consts, args.chunk)
 
     args.out.mkdir(parents=True, exist_ok=True)  # not before: a rejected run leaves none
     report = args.out / f"{args.suite}.csv"

@@ -29,9 +29,10 @@ The chains return in input units, the cost in g**2 units.
 Sweep order per iteration: rows s_k (all gates), then the variances and
 then the auxiliaries of the noise and energy chains, which share no node and
 run stacked as two 2 x K arrays, ``variances`` and ``aux`` (row 0 noise,
-row 1 energy; couplings zeta, eta), one ``gmrf`` call per update.  The cost
-is evaluated once per full sweep and the loop stops when its relative change
-falls below ``xi`` or after ``t_max`` sweeps.
+row 1 energy; couplings ``COUPLING``), one ``gmrf`` call per update.  The
+cost is evaluated once per full sweep and the loop stops when its relative
+change falls below ``XI`` or after ``T_MAX`` sweeps.  These settings and the
+SE lengthscale (``kernels.DEFAULT_LENGTHSCALE``) are the paper's, fixed.
 """
 
 from __future__ import annotations
@@ -51,29 +52,9 @@ from .kernels import (
 )
 
 MODE_CUTOFF = 1e-8  # kept modes: kernel eigenvalue >= MODE_CUTOFF * largest
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs of the denoiser.
-
-    zeta / eta   coupling strengths of the noise / energy chains (finite, > 1)
-    xi           relative cost-change stopping threshold (finite, > 0)
-    t_max        sweep cap
-    lengthscale  SE correlation length over the signal index
-    """
-
-    zeta: float = 2.0
-    eta: float = 2.0
-    xi: float = 1e-3
-    t_max: int = 100
-    lengthscale: float = DEFAULT_LENGTHSCALE
-
-    def __post_init__(self):
-        if not (1 < self.zeta < np.inf and 1 < self.eta < np.inf):
-            raise ValueError("zeta and eta must be finite and > 1")
-        if not (0 < self.xi < np.inf and self.t_max >= 1):
-            raise ValueError("need a finite xi > 0 and t_max >= 1")
+COUPLING = (2.0, 2.0)  # zeta, eta: the noise and energy chains' coupling strengths
+XI = 1e-3  # stop once a sweep changes the cost by at most XI of its value
+T_MAX = 100  # sweep cap
 
 
 @dataclass
@@ -89,9 +70,9 @@ class SolverState:
     modes: int = 0  # eigenmodes kept, r
 
 
-def _kept_basis(width: int, lengthscale: float) -> CovarianceBasis:
+def _kept_basis(width: int) -> CovarianceBasis:
     """The kept modes of the width x width correlation: eigenvalue >= MODE_CUTOFF * largest."""
-    return decompose(build_correlation(width, lengthscale), MODE_CUTOFF)
+    return decompose(build_correlation(width, DEFAULT_LENGTHSCALE), MODE_CUTOFF)
 
 
 def _sweep(weighted, tail, kept, variances, aux, coupling):
@@ -114,7 +95,6 @@ def _sweep(weighted, tail, kept, variances, aux, coupling):
 
 def denoise(
     block: np.ndarray,
-    config: SolverConfig | None = None,
     basis: CovarianceBasis | None = None,
     out: np.ndarray | None = None,
 ) -> SolverState:
@@ -123,7 +103,6 @@ def denoise(
     ``basis`` may be supplied to reuse a precomputed eigenbasis for this M;
     the sweeps run on all of its modes.  Else the kept modes are built.
     """
-    config = config or SolverConfig()
     block = np.asarray(block, dtype=float)
     if block.ndim != 2 or block.size == 0:
         raise ShapeMismatchError(f"expected a non-empty K x M block, got {block.shape}")
@@ -132,7 +111,7 @@ def denoise(
         raise NonFiniteError("input block has non-finite values or row energies")
     num_signals = block.shape[1]
     if basis is None:
-        basis = _kept_basis(num_signals, config.lengthscale)
+        basis = _kept_basis(num_signals)
     elif basis.size != num_signals:
         raise ShapeMismatchError(
             f"basis size {basis.size} does not match block width {num_signals}"
@@ -147,16 +126,16 @@ def denoise(
     np.multiply(weighted[0], basis.precision_eigvals, out=weighted[1])
     row_energy /= num_signals * unit  # each gate's mean square
     dropped = num_signals - basis.vectors.shape[1]  # noise: the dropped modes' mean square
-    coupling = np.array([config.zeta, config.eta])
+    coupling = np.array(COUPLING)
     variances, aux = gmrf.initial_chain(
         np.array((tail / dropped if dropped else row_energy, row_energy)), coupling)
 
     trace: list[float] = []
     stop_reason = "max-iterations"
-    for _ in range(config.t_max):
+    for _ in range(T_MAX):
         filt, variances, aux, value = _sweep(weighted, tail, basis, variances, aux, coupling)
         trace.append(value)
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= config.xi * abs(trace[-2]):
+        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= XI * abs(trace[-2]):
             stop_reason = "converged"
             break
 
@@ -191,7 +170,6 @@ def chunk_slices(total: int, chunk_len: int) -> list[slice]:
 def denoise_stream(
     block: np.ndarray,
     chunk_len: int,
-    config: SolverConfig | None = None,
     with_states: bool = False,
 ):
     """Denoise a K x N block in independent consecutive chunks of width M.
@@ -202,17 +180,16 @@ def denoise_stream(
     its slice of the returned track, which its state's ``denoised`` views, so
     the stream holds its output, the kept bases and one chunk's scratch.
     """
-    config = config or SolverConfig()
     block = np.asarray(block, dtype=float)
     if block.ndim != 2 or block.size == 0:
         raise ShapeMismatchError(f"expected a non-empty K x N block, got {block.shape}")
     slices = chunk_slices(block.shape[1], chunk_len)
 
     widths = {sl.stop - sl.start for sl in slices}
-    bases = {w: _kept_basis(w, config.lengthscale) for w in widths}
+    bases = {w: _kept_basis(w) for w in widths}
 
     out = np.empty_like(block)
-    states = [denoise(block[:, sl], config, bases[sl.stop - sl.start], out[:, sl])
+    states = [denoise(block[:, sl], bases[sl.stop - sl.start], out[:, sl])
               for sl in slices]
     if with_states:
         return out, states

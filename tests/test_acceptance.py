@@ -17,7 +17,7 @@ from altismooth.kernels import (DEFAULT_LENGTHSCALE, JITTER, build_correlation, 
                                 shrinkage_filter)
 from altismooth.metrics import rmse, rsnr, std, std_20hz
 from altismooth.retrack import fit_block
-from altismooth.solver import SolverConfig, denoise, denoise_stream
+from altismooth.solver import denoise, denoise_stream
 
 import oracles
 
@@ -99,7 +99,7 @@ def test_criterion_2_rsnr_vs_swh_band(constants):
           f"{full['rows'][0]['rsnr_sse']:.2f} dB (band 32.15 +/- 1.5)")
     # the SWH = 2 m block of the sweep above, second in its list
     *_, (_, _, versions) = bench._sweep((0.5, 2.0), 100, 90.0, SEED, constants,
-                                        bench.DEFAULT_SVD_THRESHOLD, bench.DEFAULT_CHUNK)
+                                        bench.DEFAULT_CHUNK)
     noisy = versions["ls"]
     sing = np.linalg.svd(noisy, compute_uv=False)
     from altismooth.retrack import truncation_rank
@@ -144,8 +144,7 @@ def test_criterion_3_retracking_orderings(constants):
     # signals carries the shrinkage bias of the zero-mean smoothness prior
     # (about 1/looks of the dominant mode), which exceeds the 1.2 target even
     # at the full-scale 500-signal block size
-    *_, (_, _, versions) = bench._sweep((0.5, 2.0), 500, 90.0, SEED, constants,
-                                        bench.DEFAULT_SVD_THRESHOLD, 500)
+    *_, (_, _, versions) = bench._sweep((0.5, 2.0), 500, 90.0, SEED, constants, 500)
     pu500 = fit_block(versions["sse"], constants).params.pu
     print(f"[INFO] criterion 3: denoiser-LS RMSE(pu) at 500-signal scale: "
           f"{rmse(pu500, np.full(500, 130.0)):.3f} (target 1.2)")
@@ -155,7 +154,6 @@ def test_criterion_3_retracking_orderings(constants):
 def test_criterion_4_descent_and_convergence(constants):
     c = Clauses("criterion 4 (descent property)")
     rng = np.random.default_rng(SEED)
-    config = SolverConfig()  # xi = 1e-3, t_max = 100
     sizes = [1] * 20 + [10] * 20 + [500] * 10
     monotone = True
     converged = 0
@@ -169,7 +167,7 @@ def test_criterion_4_descent_and_convergence(constants):
         clean = alt.clean_block(traj, constants)
         noisy = alt.corrupt(clean, alt.NoiseSpec(
             looks=looks, seed=int(rng.integers(0, 2**31))))
-        state = denoise(noisy, config)
+        state = denoise(noisy)  # XI = 1e-3, T_MAX = 100
         trace = np.array(state.cost_trace)
         if not np.all(np.diff(trace) <= 1e-9 * np.abs(trace[:-1])):
             monotone = False

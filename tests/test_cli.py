@@ -1,6 +1,8 @@
+import argparse
 import csv
 import hashlib
 import json
+import os
 import re
 import shlex
 import tracemalloc
@@ -10,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from altismooth import (SolverConfig, blockio, cli, denoise_stream, fit_block, gmrf,
-                        jason2_like, make_trajectory, retrack, simulate, solver)
-from altismooth.cli import _solver_config, build_parser, main
+from altismooth import (blockio, cli, denoise_stream, fit_block, gmrf, jason2_like,
+                        make_trajectory, retrack, simulate, solver)
+from altismooth.cli import build_parser, main
 
 
 def digest(path):
@@ -97,6 +99,17 @@ class TestGenerate:
         unread = ("swh_range", "tau_range", "pu_range", "traj_file", "noise_var")
         assert [args[name] for name in unread] == [None] * len(unread)
 
+    def test_outputs_get_the_umask_mode(self, tmp_path):
+        # a block, a CSV and a manifest get open()'s 0o666 less the umask, not 0o600
+        umask = os.umask(0o022)
+        try:
+            assert run("generate", "--n", 4, "--out-dir", tmp_path) == 0
+        finally:
+            os.umask(umask)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(["clean.blk", "noisy.blk", "trajectory.csv",
+                                       "generate.manifest.json"], 0o644)
+
     def test_bad_range_exits_two(self, tmp_path, capsys):
         code = run("generate", "--n", 8, "--traj", "smooth-random",
                    "--swh-range", "5,1", "--out-dir", tmp_path)
@@ -156,16 +169,17 @@ class TestGenerate:
         assert not list(tmp_path.glob("*.blk"))
 
     @pytest.mark.parametrize("key, value, repeat, message", [
-        ("alpha", "inf", False, "alpha, sigma_p and c must be positive and finite"),
-        ("sigma_p", "inf", False, "alpha, sigma_p and c must be positive and finite"),
-        ("c", "inf", False, "alpha, sigma_p and c must be positive and finite"),
-        ("alpha", "nan", False, "alpha, sigma_p and c must be positive and finite"),
-        ("gate_resolution", "inf", False, "need finite gate_resolution > 0"),
-        ("alpha", "abc", False, "could not convert string to float: 'abc'"),
-        ("num_gates", "104.0", False, "invalid literal for int()"),
-        ("alpha", "1.0e9", True, "duplicate key 'alpha'"),
+        ("alpha", "= inf", False, "alpha, sigma_p and c must be positive and finite"),
+        ("sigma_p", "= inf", False, "alpha, sigma_p and c must be positive and finite"),
+        ("c", "= inf", False, "alpha, sigma_p and c must be positive and finite"),
+        ("alpha", "= nan", False, "alpha, sigma_p and c must be positive and finite"),
+        ("gate_resolution", "= inf", False, "need finite gate_resolution > 0"),
+        ("alpha", "= abc", False, "could not convert string to float: 'abc'"),
+        ("num_gates", "= 104.0", False, "invalid literal for int()"),
+        ("alpha", "= 1.0e9", True, "duplicate key 'alpha'"),
+        ("alpha", ": 2.022e6", False, "expected 'key = value'"),
     ], ids=["alpha-inf", "sigma_p-inf", "c-inf", "alpha-nan", "gate_resolution-inf",
-            "alpha-abc", "num_gates-float", "alpha-repeated"])
+            "alpha-abc", "num_gates-float", "alpha-repeated", "alpha-colon"])
     def test_bad_constants_profile_exits_two(self, tmp_path, capsys, key, value, repeat,
                                              message):
         # the bad line ends a valid profile, in place of the key's line or after it
@@ -174,13 +188,14 @@ class TestGenerate:
                                                    "num_gates")}
         lines = [f"{k} = {v}\n" for k, v in values.items() if repeat or k != key]
         path = tmp_path / "bad.cfg"
-        path.write_text("".join(lines) + f"{key} = {value}\n")
+        path.write_text("".join(lines) + f"{key} {value}\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run("generate", "--n", 8, "--config", path, "--out-dir", tmp_path / "out")
         assert code == 2
         err = capsys.readouterr().err
-        where = f"{path}:6" if repeat else path  # a repeat is named with its line
+        # a repeat or a line without "=" is named with its line
+        where = f"{path}:{len(lines) + 1}" if repeat or "=" not in value else path
         assert err.startswith(f"error: {where}: ") and message in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -244,7 +259,7 @@ class TestDenoiseEstimateMetrics:
 
     def test_estimate_methods(self, generated):
         # each method gets only the options it reads; the manifest records the others as null
-        for method, chunk, threshold in (("ls", None, None), ("svd-ls", 60, 0.84)):
+        for method, chunk in (("ls", None), ("svd-ls", 60)):
             out = generated / f"est_{method}.csv"
             flags = () if chunk is None else ("--chunk", chunk)
             code = run("estimate", "--input", generated / "noisy.blk",
@@ -256,7 +271,7 @@ class TestDenoiseEstimateMetrics:
             assert set(rows[0]) == {"index", "swh_m", "tau_m", "pu",
                                     "residual", "converged"}
             args = json.loads(Path(f"{out}.manifest.json").read_text())["args"]
-            assert (args["chunk"], args["svd_threshold"]) == (chunk, threshold)
+            assert args["chunk"] == chunk
 
     def test_estimate_reports_grid_columns(self, generated, capsys):
         capsys.readouterr()
@@ -330,26 +345,6 @@ class TestDenoiseEstimateMetrics:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err and "Traceback" not in err
         assert f"{files[bad_flag]}: " in err and not (generated / "m.csv").exists()
-
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--zeta", "inf", "zeta and eta must be finite"),
-        ("--eta", "inf", "zeta and eta must be finite"),
-        ("--zeta", "1", "zeta and eta must be finite and > 1"),
-        ("--eta", "0.5", "zeta and eta must be finite and > 1"),
-        ("--lengthscale", "nan", "lengthscale > 0"),
-        ("--lengthscale", "inf", "lengthscale > 0"),
-        ("--xi", "inf", "xi > 0"),
-    ])
-    def test_non_finite_solver_option_exits_two(self, generated, capsys, flag, value, message):
-        out = generated / "den.blk"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = run("denoise", "--input", generated / "noisy.blk", "--output", out,
-                       flag, value)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err
-        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--clean", "--est"])
     def test_metrics_non_finite_block_exits_three(self, generated, capsys, flag):
@@ -552,12 +547,9 @@ class TestManifestContract:
         # non-finite (exit 3), so these exit 2 only if rejected before reading it
         (["estimate", "--input", "{d}/nan.blk", "--method", "ls", "--chunk", 7,
           "--output", "{d}/e.csv"], 2),
-        (["estimate", "--input", "{d}/nan.blk", "--method", "ls", "--svd-threshold", 0.1,
-          "--output", "{d}/e.csv"], 2),
         *[(["bench", "--suite", "table1", "--n", 10, "--m-list", 5, flag, value,
             "--out", "{d}/out"], 2)
-          for flag, value in (("--runs", 9), ("--swh-list", 3), ("--chunk", 3),
-                              ("--svd-threshold", 0.5))],
+          for flag, value in (("--runs", 9), ("--swh-list", 3), ("--chunk", 3))],
         *[(["bench", "--suite", suite, "--runs", 2, "--swh-list", 2, flag, value,
             "--out", "{d}/out"], 2)
           for suite in ("table2", "fig4") for flag, value in (("--n", 10), ("--m-list", 5))],
@@ -567,8 +559,7 @@ class TestManifestContract:
     ], ids=["bad-range", "non-finite-block", "zero-energy", "file-without-traj-file",
             "missing-input",
             "negative-chunk", "chunk-beyond-track", "table1-zero-n", "truth-without-series",
-            "ls-chunk", "ls-svd-threshold",
-            "table1-runs", "table1-swh-list", "table1-chunk", "table1-svd-threshold",
+            "ls-chunk", "table1-runs", "table1-swh-list", "table1-chunk",
             "table2-n", "table2-m-list", "fig4-n", "fig4-m-list",
             "table2-empty-swh-list", "fig4-empty-swh-list",
             *[" ".join(("generate",) + flags) for flags in _UNREAD_BY_MODE]])
@@ -594,7 +585,22 @@ _UNREAD_OPTIONS = [
     ("denoise", "--seed", "1"), ("estimate", "--seed", "1"), ("metrics", "--seed", "1"),
     ("denoise", "--config", "x"), ("metrics", "--config", "x"),
     *[(sub, flag, "2") for sub in _MINIMAL_ARGVS for flag in ("--threads", "--scale")],
+    # retired: the paper's fixed solver settings and SVD energy threshold
+    *[("denoise", flag, "2") for flag in ("--zeta", "--eta", "--xi", "--tmax", "--lengthscale")],
+    ("estimate", "--svd-threshold", "0.84"), ("bench", "--svd-threshold", "0.84"),
 ]
+
+# every option of each subcommand: adding or removing one is an edit here
+_OPTIONS = {
+    "generate": ["--config", "--looks", "--n", "--noise-mode", "--noise-var", "--out-dir",
+                 "--pu", "--pu-range", "--seed", "--swh", "--swh-range", "--tau-gates",
+                 "--tau-m", "--tau-range", "--traj", "--traj-file"],
+    "denoise": ["--chunk", "--emit-cost-trace", "--input", "--output"],
+    "estimate": ["--chunk", "--config", "--input", "--method", "--output"],
+    "metrics": ["--clean", "--est", "--output", "--series", "--truth"],
+    "bench": ["--chunk", "--config", "--looks", "--m-list", "--n", "--out", "--runs", "--seed",
+              "--suite", "--swh-list"],
+}
 
 
 class TestParser:
@@ -602,10 +608,6 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
-
-    def test_denoise_defaults_are_solver_defaults(self):
-        args = build_parser().parse_args(["denoise", "--input", "a", "--output", "b"])
-        assert _solver_config(args) == SolverConfig()
 
     @pytest.mark.parametrize("subcommand, flag, value", _UNREAD_OPTIONS,
                              ids=[f"{sub}{flag}" for sub, flag, _ in _UNREAD_OPTIONS])
@@ -616,6 +618,21 @@ class TestParser:
             main(argv + [flag, value])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", list(_OPTIONS))
+    def test_option_set_is_pinned(self, subcommand):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(_OPTIONS)
+        options = sorted(flag for a in sub.choices[subcommand]._actions if a.dest != "help"
+                         for flag in a.option_strings)
+        assert options == _OPTIONS[subcommand]
+
+    def test_pair_is_comma_separated(self):
+        parse = build_parser().parse_args
+        assert parse(["generate", "--n", "4", "--swh-range", "3,5"]).swh_range == (3.0, 5.0)
+        with pytest.raises(SystemExit) as exc:
+            parse(["generate", "--n", "4", "--swh-range", "3:5"])
+        assert exc.value.code == 2
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:

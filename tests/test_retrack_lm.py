@@ -199,8 +199,7 @@ def test_restart_at_its_own_optimum_converges(consts):
     # from a fit's own optimum, rounding can make every damped step uphill;
     # steps that short mean the start is at its minimum, so it converges
     # there, in the core and in the scalar loop alike
-    (_, _, versions), = bench._sweep((8.0,), 20, 90.0, 3, consts,
-                                     bench.DEFAULT_SVD_THRESHOLD, bench.DEFAULT_CHUNK)
+    (_, _, versions), = bench._sweep((8.0,), 20, 90.0, 3, consts, bench.DEFAULT_CHUNK)
     for y in versions["ls"].T:
         fit = ls_fit(y, consts)
         start = [fit.params.swh, fit.params.tau, fit.params.pu]

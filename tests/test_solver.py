@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import altismooth as alt
-from altismooth import NonFiniteError, ShapeMismatchError, SolverConfig, gmrf, solver
+from altismooth import NonFiniteError, ShapeMismatchError, gmrf, solver
 from altismooth.gmrf import VARIANCE_FLOOR
-from altismooth.kernels import JITTER, CovarianceBasis, build_correlation, decompose
+from altismooth.kernels import (DEFAULT_LENGTHSCALE, JITTER, CovarianceBasis,
+                                build_correlation, decompose)
 from altismooth.solver import (
     SolverState,
     _sweep,
@@ -102,11 +103,10 @@ class TestDenoise:
         assert denoise(noisy).modes < 40
         monkeypatch.setattr(solver, "MODE_CUTOFF", 0.0)
         assert denoise(noisy).modes == 40
-        config = SolverConfig()
         for (start, coupling), aux, cutoff in zip(starts, aux_starts, cutoffs, strict=True):
-            want = oracles.dense_start(noisy, config.lengthscale, JITTER, cutoff)
+            want = oracles.dense_start(noisy, DEFAULT_LENGTHSCALE, JITTER, cutoff)
             np.testing.assert_allclose(start, want, rtol=1e-8)
-            assert np.array_equal(coupling, [config.zeta, config.eta])
+            assert np.array_equal(coupling, solver.COUPLING)
             for v, a, c in zip(np.maximum(start, VARIANCE_FLOOR), aux, coupling):
                 np.testing.assert_allclose(a, oracles.naive_aux_modes(v, c), rtol=1e-14)
         assert np.array_equal(starts[1][0][0], starts[1][0][1])
@@ -134,9 +134,8 @@ class TestDenoise:
 
     def test_stationarity_at_convergence(self, consts):
         _, noisy = brown_block(consts, 120, seed=8)
-        config = SolverConfig()
-        basis = decompose(build_correlation(120, config.lengthscale), solver.MODE_CUTOFF)
-        state = denoise(noisy, config, basis)
+        basis = decompose(build_correlation(120, DEFAULT_LENGTHSCALE), solver.MODE_CUTOFF)
+        state = denoise(noisy, basis)
         assert state.stop_reason == "converged"
         r = state.modes
         kept = CovarianceBasis(basis.vectors[:, -r:], basis.precision_eigvals[-r:])
@@ -144,16 +143,16 @@ class TestDenoise:
         tail = (noisy**2).sum(axis=1) - (coeffs**2).sum(axis=1)
         weighted = np.stack([coeffs**2, coeffs**2 * kept.precision_eigvals])
         filt, variances, aux, _ = _sweep(weighted, tail, kept, state.variances, state.aux,
-                                         np.array([config.zeta, config.eta]))
+                                         np.array(solver.COUPLING))
         denoised = (filt * coeffs) @ kept.vectors.T
 
         def rel(a, b):
             return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-30)
 
-        assert rel(denoised, state.denoised) <= 10 * config.xi
+        assert rel(denoised, state.denoised) <= 10 * solver.XI
         for chain in (0, 1):  # noise, energy
-            assert rel(variances[chain], state.variances[chain]) <= 10 * config.xi
-            assert rel(aux[chain], state.aux[chain]) <= 10 * config.xi
+            assert rel(variances[chain], state.variances[chain]) <= 10 * solver.XI
+            assert rel(aux[chain], state.aux[chain]) <= 10 * solver.XI
 
     @pytest.mark.parametrize("cutoff, tol", [(solver.MODE_CUTOFF, 1e-6), (0.0, 1e-12)],
                              ids=["default-cutoff", "no-cutoff"])
@@ -162,24 +161,26 @@ class TestDenoise:
         # throughout; without a cutoff the solver keeps every mode
         monkeypatch.setattr(solver, "MODE_CUTOFF", cutoff)
         _, noisy = brown_block(consts, 40, seed=10)
-        config = SolverConfig(xi=1e-15, t_max=12)
-        fast = denoise(noisy, config).denoised
+        monkeypatch.setattr(solver, "XI", 1e-15)
+        monkeypatch.setattr(solver, "T_MAX", 12)
+        fast = denoise(noisy).denoised
+        zeta, eta = solver.COUPLING
 
         K, M = noisy.shape
         idx = np.arange(M, dtype=float)
-        corr = np.exp(-((idx[:, None] - idx[None, :]) / config.lengthscale) ** 2)
+        corr = np.exp(-((idx[:, None] - idx[None, :]) / DEFAULT_LENGTHSCALE) ** 2)
         corr[np.diag_indices(M)] += JITTER
 
         # the solver's start, each auxiliary at its conditional mode, and its
         # units: g**2, g the power of two nearest the RMS
-        nv, ev = np.maximum(oracles.dense_start(noisy, config.lengthscale, JITTER, cutoff),
+        nv, ev = np.maximum(oracles.dense_start(noisy, DEFAULT_LENGTHSCALE, JITTER, cutoff),
                             VARIANCE_FLOOR)
         g = np.sqrt(oracles.unit(noisy))
         y = noisy / g
-        na = oracles.naive_aux_modes(nv, config.zeta)
-        ea = oracles.naive_aux_modes(ev, config.eta)
+        na = oracles.naive_aux_modes(nv, zeta)
+        ea = oracles.naive_aux_modes(ev, eta)
         dense = None
-        for _ in range(config.t_max):
+        for _ in range(solver.T_MAX):
             dense = np.empty_like(y)
             quads = np.empty(K)
             for k in range(K):
@@ -187,8 +188,7 @@ class TestDenoise:
                 dense[k] = np.linalg.solve(lhs, corr @ y[k])
                 quads[k] = dense[k] @ np.linalg.solve(corr, dense[k])
             resid = ((y - dense) ** 2).sum(axis=1)
-            for arr, aux, stats, c in ((nv, na, resid, config.zeta),
-                                       (ev, ea, quads, config.eta)):
+            for arr, aux, stats, c in ((nv, na, resid, zeta), (ev, ea, quads, eta)):
                 for k in range(K):
                     if k == K - 1:
                         arr[k] = (stats[k] + 2 * c * aux[k]) / (2 * c + M + 2)
